@@ -73,7 +73,7 @@ class _MeasureRunner:
         if measure == "delta":
             return substring_complexity(w, self.ctx), True
         if measure == "e":
-            return right_extension_count(w), True
+            return right_extension_count(w, self.ctx), True
         raise KeyError(f"unknown measure id {measure!r}")
 
 

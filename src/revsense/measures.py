@@ -8,6 +8,21 @@ e(w) = |E_r(w)|, where E_r collects every substring xa whose stem x is
 right-maximal: x (the empty string included) counts as right-maximal
 iff at least two distinct symbols follow occurrences of x in w, or x
 is a suffix of w.
+
+The stems that have an extension are exactly the internal nodes of the
+suffix tree of w$ (root included), and each extension xa is a child edge
+of x other than its `$`-child (Blumer et al., "Complete inverted files
+for efficient text retrieval and analysis", JACM 1987).  With m internal
+nodes and n + 1 leaves there are m + n child edges, and 1 + L of them are
+`$`-children: the root's, and one for each suffix of w that occurs at
+least twice, L being the longest such suffix.  Hence
+
+    e(w) = m + n - 1 - L.
+
+Both m and L are read off the suffix and LCP arrays of w, as in the
+enhanced-suffix-array reading of suffix-tree nodes as LCP intervals
+(Abouelhoda, Kurtz & Ohlebusch, "Replacing suffix trees with enhanced
+suffix arrays", JDA 2004).
 """
 
 from __future__ import annotations
@@ -50,6 +65,11 @@ def substring_complexity(w: Text, ctx: SuffixContext | None = None) -> Fraction:
 def right_extensions(w: Text) -> set[Text]:
     """E_r(w), by brute force over all substring occurrences.
 
+    This is the enumerating API: it returns the extensions themselves and
+    costs O(n^2) memory and O(n^3) time.  The count `e` does not use it;
+    `right_extension_count`, the harness and the CLI read e off the
+    suffix context instead.
+
     One pass records, per distinct substring, the set of symbols that
     follow it and whether it ends the text; symbol sequences are kept
     as bytes when ranks fit for hashing speed.
@@ -83,5 +103,31 @@ def right_extensions(w: Text) -> set[Text]:
     return out
 
 
-def right_extension_count(w: Text) -> int:
-    return len(right_extensions(w))
+def right_extension_count(w: Text, ctx: SuffixContext | None = None) -> int:
+    """e(w) = m + n - 1 - L in one pass over the suffix and LCP arrays.
+
+    The suffix sort puts a shorter suffix before a longer one it prefixes,
+    so the suffix array of w is that of w$ without the lone `$` suffix and
+    the LCP intervals of w are the internal nodes of the suffix tree of w$:
+    a stack pass counts them.  The suffix at rank r occurs again iff it is
+    a prefix of the suffix at rank r + 1.
+    """
+    if len(w) == 0:
+        raise ValueError("right extensions require a non-empty text")
+    if ctx is None:
+        ctx = build_suffix_context(w)
+    n = len(w)
+    sa, lcp = ctx.sa, ctx.lcp
+    nodes = 1  # the root
+    longest_repeated_suffix = 0
+    stack = [0]
+    for r in range(1, n):
+        v = lcp[r]
+        while stack[-1] > v:
+            stack.pop()
+        if stack[-1] < v:
+            stack.append(v)
+            nodes += 1
+        if v == n - sa[r - 1] + 1 and v > longest_repeated_suffix:
+            longest_repeated_suffix = v
+    return nodes + n - 1 - longest_repeated_suffix

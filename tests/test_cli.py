@@ -50,6 +50,19 @@ def test_measure_file_input(tmp_path, capsys):
     assert capsys.readouterr().out == "r=2\nr_b=4\n"
 
 
+def test_measure_e_large_file_input(tmp_path, capsys):
+    import random
+    from revsense.measures import right_extension_count
+    from revsense.textio import from_ascii
+    rng = random.Random(13)
+    data = "".join(rng.choice("acgt") for _ in range(10**4))
+    path = tmp_path / "big.txt"
+    path.write_text(data + "\n")
+    assert run_cli("measure", "--input", str(path), "--measures", "e") == 0
+    out = capsys.readouterr().out
+    assert out == f"e={right_extension_count(from_ascii(data))}\n"
+
+
 def test_measure_block_family(capsys):
     assert run_cli("measure", "--family", "w_sigma", "--param", "2",
                    "--measures", "z,v") == 0

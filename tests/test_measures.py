@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -10,6 +12,7 @@ from revsense.measures import (
     right_extensions,
     substring_complexity,
 )
+from revsense.suffixes import build_suffix_context
 from revsense.text import Text, reverse
 
 from oracles import brute_delta, brute_right_extensions, random_symbols
@@ -65,6 +68,55 @@ def test_right_extensions_match_independent_oracle():
         s = random_symbols(rng, 24)
         got = {t.symbols for t in right_extensions(Text(s))}
         assert got == brute_right_extensions(s)
+
+
+def _e_three_ways(s):
+    w = Text(s)
+    return (right_extension_count(w),
+            right_extension_count(w, build_suffix_context(w)),
+            len(brute_right_extensions(s)))
+
+
+def test_right_extension_count_matches_oracle():
+    rng = random.Random(11)
+    for _ in range(2000):
+        s = random_symbols(rng, 40, alphabets=(1, 2, 3, 4))
+        a, b, c = _e_three_ways(s)
+        assert a == b == c, s
+
+
+def test_right_extension_count_edge_cases():
+    cases = {
+        "a": 1,
+        "aaaaaaa": 7,        # unary: every prefix is a suffix
+        "abab": 4,           # a, b, ba, aba; the suffix ab repeats
+        "abaab": 6,
+        "abcabc": 6,         # the whole half abc repeats as a suffix
+    }
+    for word, expected in cases.items():
+        assert _e_three_ways(Text.from_str(word).symbols) == (expected,) * 3, word
+    with pytest.raises(ValueError):
+        right_extension_count(Text(()))
+
+
+def test_right_extension_count_scales_to_1e5():
+    n = 10**5
+    rng = random.Random(12)
+    w = Text(tuple(rng.randrange(4) for _ in range(n)))
+    t0 = time.time()
+    ctx = build_suffix_context(w)
+    tracemalloc.start()
+    try:
+        e = right_extension_count(w, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    elapsed = time.time() - t0
+    # m <= n internal nodes and m >= L + 1 give n <= e <= 2n - 1
+    assert n <= e <= 2 * n - 1
+    assert elapsed < 60
+    # linear scratch only: an O(n^2) table would need tens of GB here
+    assert peak < 16 * 2**20, peak
 
 
 def test_right_extension_family_gap():
