@@ -10,10 +10,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cmp_to_key
+from itertools import accumulate
 
 from .suffixes import cyclic_rotation_order
-from .text import Text, lyndon_factorize, omega_compare_symbols, rle
+from .text import Text, lyndon_factorize, rle
 from .textio import SENTINEL_NAME
 
 
@@ -33,7 +33,6 @@ def bwt(w: Text) -> TransformResult:
     if len(w) == 0:
         raise ValueError("BWT requires a non-empty text")
     s = w.symbols
-    n = len(s)
     order = cyclic_rotation_order(w)
     out = tuple(s[p - 2] for p in order)  # p-2 = cyclic predecessor, works for p=1 too
     return _result(Text(out, w.names), "plain")
@@ -56,18 +55,12 @@ def bwt_sentinel(w: Text) -> TransformResult:
     return TransformResult(res.output, res.run_count, "sentinel")
 
 
-# key materialization for the omega sort is skipped above this many cells
-_BBWT_KEY_CELLS = 50_000_000
-
-
 def bbwt(w: Text) -> TransformResult:
     """Bijective BWT: rotations of the Lyndon factors in omega-order.
 
-    Rotations are compared as infinite periodic strings.  The fast path
-    extends every rotation cyclically to twice the longest factor
-    length; that covers |x|+|y| positions for every pair, which decides
-    the omega order exactly, and plain tuple sorting applies.  Very long
-    factors fall back to pairwise omega comparison to bound memory.
+    Rotations are compared as infinite periodic strings and ordered by
+    cyclic_rotation_order over the factor cycles; each output symbol is
+    the cyclic predecessor of the rotation start within its factor.
 
     Ties (equal rotations across duplicated factors) keep factor order
     then rotation index; within a factor rotations are distinct because
@@ -75,29 +68,17 @@ def bbwt(w: Text) -> TransformResult:
     """
     if len(w) == 0:
         raise ValueError("BBWT requires a non-empty text")
-    factors = lyndon_factorize(w)
-    max_len = max(len(f) for f in factors)
-    if len(w) * 2 * max_len <= _BBWT_KEY_CELLS:
-        key_len = 2 * max_len
-        keyed: list[tuple[tuple[int, ...], int]] = []
-        for factor in factors:
-            fs = factor.symbols
-            m = len(fs)
-            doubled = fs * (key_len // m + 2)
-            for i in range(m):
-                keyed.append((doubled[i:i + key_len], fs[i - 1]))
-        keyed.sort(key=lambda pair: pair[0])
-        out = tuple(last for _key, last in keyed)
-    else:
-        rotations: list[tuple[int, ...]] = []
-        for factor in factors:
-            fs = factor.symbols
-            m = len(fs)
-            for i in range(m):
-                rotations.append(fs[i:] + fs[:i])
-        rotations.sort(key=cmp_to_key(omega_compare_symbols))
-        out = tuple(rot[-1] for rot in rotations)
+    s = w.symbols
+    starts = lyndon_starts(w)
+    next_start = dict(zip(starts, starts[1:] + (len(s) + 1,)))
+    # p-2 indexes p's predecessor; a factor's first rotation wraps to its last symbol
+    out = tuple(s[next_start.get(p, p) - 2] for p in cyclic_rotation_order(w, starts))
     return _result(Text(out, w.names), "bijective")
+
+
+def lyndon_starts(w: Text) -> tuple[int, ...]:
+    """1-based start positions of the Lyndon factors of w."""
+    return tuple(accumulate((len(f) for f in lyndon_factorize(w)[:-1]), initial=1))
 
 
 def bwt_range(w: Text, prefix: Text) -> Text:

@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from bisect import bisect_right
 
 from . import textio
-from .bwt import bbwt, bwt
+from .bwt import bbwt, bwt, lyndon_starts
 from .families import FAMILIES, FamilySpec, generate
 from .harness import (
     DEFAULT_NODE_BUDGET,
@@ -213,19 +214,14 @@ def cmd_show(args: argparse.Namespace) -> int:
         )
     lines = []
     if args.view in ("bwt", "bbwt"):
-        if args.view == "bwt":
-            order = cyclic_rotation_order(w)
-            rows = [(w.symbols[p - 1:] + w.symbols[:p - 1]) for p in order]
-            result = bwt(w)
-        else:
-            from .text import lyndon_factorize, omega_compare_symbols
-            from functools import cmp_to_key
-            rows = []
-            for factor in lyndon_factorize(w):
-                fs = factor.symbols
-                rows.extend(fs[i:] + fs[:i] for i in range(len(fs)))
-            rows.sort(key=cmp_to_key(omega_compare_symbols))
-            result = bbwt(w)
+        s = w.symbols
+        starts = (1,) if args.view == "bwt" else lyndon_starts(w)
+        bounds = starts + (len(s) + 1,)
+        rows = []
+        for p in cyclic_rotation_order(w, starts):
+            i = bisect_right(starts, p)
+            rows.append(s[p - 1:bounds[i] - 1] + s[bounds[i - 1] - 1:p - 1])
+        result = bwt(w) if args.view == "bwt" else bbwt(w)
         helper = Text((), w.names)
         for i, rot in enumerate(rows, start=1):
             body = " ".join(helper.name_of(r) for r in rot[:-1])

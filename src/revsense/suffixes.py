@@ -11,6 +11,7 @@ Arrays use 1-based position values (sa[i] is the 1-based start of the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -125,24 +126,36 @@ def naive_suffix_context(w: Text) -> SuffixContext:
     return SuffixContext(tuple(sa), tuple(isa), tuple(lcp))
 
 
-def cyclic_rotation_order(w: Text) -> tuple[int, ...]:
-    """Start positions (1-based) of all rotations in non-decreasing
-    lexicographic order of the rotation strings.
+def cyclic_rotation_order(w: Text, starts: Sequence[int] = (1,)) -> tuple[int, ...]:
+    """Start positions (1-based) of the rotations of the cycles of w, in
+    non-decreasing lexicographic order of their infinite periodic strings.
 
-    Rotations are ranked as true cyclic strings by prefix doubling; no
-    sentinel is ever appended.  Equal rotations (non-primitive w) are
+    The cycles are the factors of w that begin at the 1-based positions in
+    `starts` (default: w itself, one cycle).  Each position is ranked by
+    prefix doubling over the successor permutation that steps to the next
+    position and wraps from a cycle's last position to its first; no
+    sentinel is ever appended.  Rotations x, y that agree on |x|+|y|
+    symbols agree forever (Fine and Wilf, as in omega_compare), so
+    2*(longest cycle) symbols decide the order.  Equal rotations are
     tie-broken by start position.
     """
     if len(w) == 0:
         raise ValueError("the empty text has no rotations")
     n = len(w)
+    first = np.asarray(starts, dtype=np.int64) - 1
+    if len(first) == 0 or first[0] != 0 or first[-1] >= n or np.any(np.diff(first) <= 0):
+        raise ValueError(f"cycle starts must begin at 1 and increase strictly within [1, {n}]")
+    ends = np.append(first[1:], n)
+    succ = np.arange(1, n + 1, dtype=np.int64)
+    succ[ends - 1] = first
+    longest = int((ends - first).max())
     rank = _initial_ranks(w.symbols)
     k = 1
-    while k < n:
-        key2 = np.roll(rank, -k)
-        rank, distinct = _refine(rank, key2)
+    while k < 2 * longest:
+        rank, distinct = _refine(rank, rank[succ])
         if distinct:
             break
+        succ = succ[succ]
         k *= 2
     order = np.argsort(rank, kind="stable")
     return tuple(int(p) + 1 for p in order)

@@ -155,16 +155,6 @@ def omega_compare(x: Text, y: Text) -> int:
     return 0
 
 
-def omega_compare_symbols(xs: tuple[int, ...], ys: tuple[int, ...]) -> int:
-    """omega_compare on raw symbol tuples (hot path for rotation sorting)."""
-    nx, ny = len(xs), len(ys)
-    for t in range(nx + ny):
-        a, b = xs[t % nx], ys[t % ny]
-        if a != b:
-            return -1 if a < b else 1
-    return 0
-
-
 def is_lyndon(w: Text) -> bool:
     """True iff w is strictly smaller than all of its proper suffixes.
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 
 def random_symbols(rng: random.Random, max_n: int, alphabets=(2, 3, 5), min_n: int = 1):
@@ -121,6 +122,32 @@ def brute_delta(s):
         Fraction(len({s[i:i + k] for i in range(n - k + 1)}), k)
         for k in range(1, n + 1)
     )
+
+
+def brute_bbwt(s):
+    """Bijective BWT from the definition: split s into its Lyndon factors
+    (each the longest Lyndon prefix of the rest), sort every rotation of
+    every factor by its infinite power, and read off the last symbols."""
+    def is_lyndon(x):
+        return all(x < x[i:] + x[:i] for i in range(1, len(x)))
+
+    def omega_cmp(x, y):
+        # x^w and y^w agree everywhere once they agree on |x|+|y| symbols
+        for t in range(len(x) + len(y)):
+            a, b = x[t % len(x)], y[t % len(y)]
+            if a != b:
+                return -1 if a < b else 1
+        return 0
+
+    factors = []
+    i = 0
+    while i < len(s):
+        j = max(j for j in range(i + 1, len(s) + 1) if is_lyndon(s[i:j]))
+        factors.append(s[i:j])
+        i = j
+    rotations = [f[k:] + f[:k] for f in factors for k in range(len(f))]
+    rotations.sort(key=cmp_to_key(omega_cmp))
+    return tuple(r[-1] for r in rotations)
 
 
 def brute_right_extensions(s):

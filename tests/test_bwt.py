@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -9,7 +11,7 @@ from revsense.families import FamilySpec, generate, predict_transform
 from revsense.suffixes import build_suffix_context
 from revsense.text import Text, is_lyndon, lyndon_factorize, reverse
 
-from oracles import random_symbols
+from oracles import brute_bbwt, random_symbols
 
 nonempty_texts = st.lists(st.integers(0, 4), min_size=1, max_size=48).map(lambda s: Text(tuple(s)))
 
@@ -84,6 +86,42 @@ def test_bbwt_equals_bwt_on_lyndon_words():
         assert is_lyndon(lyndon)
         assert bbwt(lyndon).output == bwt(lyndon).output
         seen += 1
+
+
+def test_bbwt_matches_oracle():
+    rng = random.Random(43)
+    for i in range(2100):
+        sigma = rng.choice((1, 2, 3, 4))
+        if i % 3 == 0:
+            # repeated blocks: duplicate factors, unary and non-primitive texts
+            block = tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 6)))
+            s = block * rng.randint(1, 60 // len(block))
+        else:
+            s = tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 60)))
+        assert bbwt(Text(s)).output.symbols == brute_bbwt(s), s
+
+
+def test_bbwt_scales_to_1e5():
+    n = 10**5
+    rng = random.Random(44)
+    w = Text(tuple(rng.randrange(4) for _ in range(n)))
+    t0 = time.time()
+    tracemalloc.start()
+    try:
+        res = bbwt(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.time() - t0 < 60
+    # linear scratch only: copying every rotation of a long factor is O(n^2)
+    assert peak < 32 * 2**20, peak
+    assert Counter(res.output.symbols) == Counter(w.symbols)
+
+
+def test_bbwt_long_lyndon_factors():
+    # F_20 (6765 symbols) has a 4181-symbol Lyndon factor, its reversal one of 2584
+    assert bbwt(generate(FamilySpec("fib", 20))).run_count == 19
+    assert bbwt(generate(FamilySpec("fib_rev", 20))).run_count == 33
 
 
 def test_bwt_range_examples():

@@ -151,6 +151,23 @@ def test_show_bwt(capsys):
     assert out[-1].endswith("runs=10")
 
 
+def test_show_bbwt(tmp_path, capsys):
+    path = tmp_path / "ex.txt"
+    path.write_text("baabaaba")
+    assert run_cli("show", "--input", str(path), "--format", "ascii", "--view", "bbwt") == 0
+    assert capsys.readouterr().out == (
+        "   1   | a\n"
+        "   2  a a | b\n"
+        "   3  a a | b\n"
+        "   4  a b | a\n"
+        "   5  a b | a\n"
+        "   6  b a | a\n"
+        "   7  b a | a\n"
+        "   8   | b\n"
+        "bbwt: abbaaaab   runs=4\n"
+    )
+
+
 def test_show_parse_views(tmp_path, capsys):
     path = tmp_path / "ex.txt"
     path.write_text("abracadabracabra")

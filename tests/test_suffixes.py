@@ -34,6 +34,12 @@ def test_empty_rejected():
         cyclic_rotation_order(Text(()))
 
 
+@pytest.mark.parametrize("starts", [(), (2,), (0, 3), (1, 3, 3), (1, 4, 2), (1, 7), (1, 3, 9)])
+def test_rotation_order_rejects_bad_starts(starts):
+    with pytest.raises(ValueError):
+        cyclic_rotation_order(Text.from_str("abcabc"), starts)
+
+
 @given(nonempty_texts)
 def test_context_invariants(w):
     ctx = build_suffix_context(w)
