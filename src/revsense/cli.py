@@ -21,7 +21,7 @@ from bisect import bisect_right
 
 from . import textio
 from .bwt import bbwt, bwt, lyndon_starts
-from .families import FAMILIES, FamilySpec, generate
+from .families import FAMILIES, VERIFY_GRIDS, FamilySpec, generate
 from .harness import (
     DEFAULT_NODE_BUDGET,
     MEASURE_IDS,
@@ -31,7 +31,7 @@ from .harness import (
     verify,
 )
 from .lexparse import lex_parse
-from .lz import Parsing, lz_end_greedy, lz_no_overlap, lz_parse
+from .lz import lz_end_greedy, lz_no_overlap, lz_parse
 from .suffixes import cyclic_rotation_order
 from .text import Text, reverse
 
@@ -42,20 +42,12 @@ EXIT_VERIFY_FAILED = 4
 
 SHOW_CAP = 200
 
-# reduced grids exercising every family that carries predictions
-QUICK_GRIDS: dict[str, list[int | None]] = {
-    "u_k": list(range(1, 13)),
-    "u_k_rev": list(range(1, 13)),
-    "T_p": list(range(1, 7)),
-    "T_p_rev": list(range(2, 7)),
-    "w_sigma": list(range(2, 21, 2)),
-    "w_sigma_rev": list(range(2, 21, 2)),
-    "c_fib_rev": list(range(9, 16, 2)),
-    "fib_plus": list(range(8, 15, 2)),
-    "unary_plus": list(range(2, 51)),
-    "unary_plus_rev": list(range(2, 51)),
-    "t55": [None],
-    "t55_rev": [None],
+# show --view id -> parse; looked up at call time, like harness.MEASURES
+PARSE_VIEWS = {
+    "lz": lambda w: lz_parse(w),
+    "lz_no": lambda w: lz_no_overlap(w),
+    "lz_end": lambda w: lz_end_greedy(w),
+    "lex": lambda w: lex_parse(w),
 }
 
 
@@ -155,18 +147,24 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _verify_units(args: argparse.Namespace) -> list[tuple[str, list[int | None]]]:
+    """(family, params) to verify: the quick grid with --quick, else the
+    --range if given, else the full grid."""
     if args.family == "all":
         if args.range:
             raise CliError("--range cannot be combined with --family all")
-        return [(fam, QUICK_GRIDS[fam]) for fam in sorted(QUICK_GRIDS)]
-    if args.family not in FAMILIES:
+        families = sorted(VERIFY_GRIDS)
+    elif args.family not in FAMILIES:
         raise CliError(f"unknown family {args.family!r}")
-    if args.quick or not args.range:
-        grid = QUICK_GRIDS.get(args.family)
-        if grid is None:
-            raise CliError(f"family {args.family!r} carries no predictions to verify")
-        return [(args.family, grid)]
-    return [(args.family, _parse_range(args.range))]
+    elif args.range:
+        if args.quick:
+            raise CliError("--quick cannot be combined with --range")
+        return [(args.family, _parse_range(args.range))]
+    elif args.family not in VERIFY_GRIDS:
+        raise CliError(f"family {args.family!r} carries no predictions to verify")
+    else:
+        families = [args.family]
+    grid = 0 if args.quick else 1
+    return [(fam, list(VERIFY_GRIDS[fam][grid])) for fam in families]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -193,18 +191,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED
 
 
-def _parse_for_view(w: Text, view: str) -> Parsing:
-    if view == "lz":
-        return lz_parse(w)
-    if view == "lz_no":
-        return lz_no_overlap(w)
-    if view == "lz_end":
-        return lz_end_greedy(w)
-    if view == "lex":
-        return lex_parse(w)
-    raise CliError(f"unknown view {view!r}")
-
-
 def cmd_show(args: argparse.Namespace) -> int:
     w = _load_text(args)
     if len(w) > SHOW_CAP:
@@ -228,7 +214,7 @@ def cmd_show(args: argparse.Namespace) -> int:
             lines.append(f"{i:>4}  {body} | {helper.name_of(rot[-1])}")
         lines.append(f"{args.view}: {result.output.display()}   runs={result.run_count}")
     else:
-        parsing = _parse_for_view(w, args.view)
+        parsing = PARSE_VIEWS[args.view](w)
         for i, ph in enumerate(parsing.phrases, start=1):
             chunk = w[ph.start - 1:ph.end].display()
             src = "literal" if ph.source is None else f"source={ph.source}"
@@ -276,14 +262,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="closed-form predictions vs computation")
     p.add_argument("--family", required=True, help="family id or 'all'")
     p.add_argument("--range", help="inclusive parameter range A:B or A:B:STEP")
-    p.add_argument("--quick", action="store_true", help="use the reduced grid")
+    p.add_argument("--quick", action="store_true", help="use the reduced grid, not the full one")
     p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--output", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("show", help="annotated rotation matrix or parse listing")
     _add_text_source(p)
-    p.add_argument("--view", required=True, choices=("bwt", "bbwt", "lz", "lz_no", "lz_end", "lex"))
+    p.add_argument("--view", required=True, choices=("bwt", "bbwt", *PARSE_VIEWS))
     p.add_argument("--output", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_show)
     return parser

@@ -27,6 +27,7 @@ reversal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .text import Text, concat, is_lyndon, occurrences, reverse
 
@@ -287,6 +288,24 @@ _PREDICTORS: dict[str, dict[str, tuple]] = {
     "t55_rev": {
         "z": (lambda _p: True, lambda _p: 6, "z = 6"),
     },
+}
+
+
+# family -> (quick grid, full grid) of the parameters `revsense verify` checks,
+# one entry per family of _PREDICTORS; each quick grid lies inside its full grid.
+VERIFY_GRIDS: dict[str, tuple[Sequence[int | None], Sequence[int | None]]] = {
+    "u_k": (range(1, 13), range(1, 101)),
+    "u_k_rev": (range(1, 13), range(1, 101)),
+    "T_p": (range(1, 7), range(1, 21)),
+    "T_p_rev": (range(2, 7), range(2, 21)),
+    "w_sigma": (range(2, 21, 2), range(2, 201, 2)),
+    "w_sigma_rev": (range(2, 21, 2), range(2, 201, 2)),
+    "c_fib_rev": (range(9, 16, 2), range(9, 26, 2)),
+    "fib_plus": (range(8, 15, 2), range(8, 25, 2)),
+    "unary_plus": (range(2, 51), range(2, 501)),
+    "unary_plus_rev": (range(2, 51), range(2, 501)),
+    "t55": ((None,), (None,)),
+    "t55_rev": ((None,), (None,)),
 }
 
 

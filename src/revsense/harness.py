@@ -13,9 +13,10 @@ family block, then parameter, then measure id.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bwt import bbwt, bwt, bwt_sentinel
 from .families import (
@@ -31,8 +32,6 @@ from .measures import right_extension_count, substring_complexity
 from .suffixes import SuffixContext, build_suffix_context
 from .text import Text, reverse
 
-MEASURE_IDS = ("delta", "e", "r", "r_b", "r_dollar", "v", "z", "z_e", "z_end", "z_no")
-
 DEFAULT_NODE_BUDGET = 10**6
 
 
@@ -42,46 +41,48 @@ class _MeasureRunner:
     def __init__(self, w: Text, node_budget: int = DEFAULT_NODE_BUDGET):
         self.w = w
         self.node_budget = node_budget
-        self._ctx: SuffixContext | None = None
 
-    @property
+    @functools.cached_property
     def ctx(self) -> SuffixContext:
-        if self._ctx is None:
-            self._ctx = build_suffix_context(self.w)
-        return self._ctx
+        return build_suffix_context(self.w)
 
     def value(self, measure: str) -> tuple[object, bool]:
         """(value, exact); exact is False only for budget-limited z_end."""
-        w = self.w
-        if measure == "r":
-            return bwt(w).run_count, True
-        if measure == "r_dollar":
-            return bwt_sentinel(w).run_count, True
-        if measure == "r_b":
-            return bbwt(w).run_count, True
-        if measure == "z":
-            return len(lz_parse(w, self.ctx)), True
-        if measure == "z_no":
-            return len(lz_no_overlap(w, self.ctx)), True
-        if measure == "z_e":
-            return len(lz_end_greedy(w, self.ctx)), True
-        if measure == "z_end":
-            parsing, exact = lz_end_optimal(w, self.node_budget, self.ctx)
-            return len(parsing), exact
-        if measure == "v":
-            return len(lex_parse(w, self.ctx)), True
-        if measure == "delta":
-            return substring_complexity(w, self.ctx), True
-        if measure == "e":
-            return right_extension_count(w, self.ctx), True
-        raise KeyError(f"unknown measure id {measure!r}")
+        _check_measure_ids([measure])
+        return MEASURES[measure](self)
+
+
+def _z_end(t: _MeasureRunner) -> tuple[int, bool]:
+    parsing, exact = lz_end_optimal(t.w, t.node_budget, t.ctx)
+    return len(parsing), exact
+
+
+# measure id -> fn(runner) -> (value, exact), in sorted id order.  Entries look the
+# measure functions up at call time, so rebinding them (as perfbench traces) works.
+MEASURES: dict[str, Callable[[_MeasureRunner], tuple[object, bool]]] = {
+    "delta": lambda t: (substring_complexity(t.w, t.ctx), True),
+    "e": lambda t: (right_extension_count(t.w, t.ctx), True),
+    "r": lambda t: (bwt(t.w).run_count, True),
+    "r_b": lambda t: (bbwt(t.w).run_count, True),
+    "r_dollar": lambda t: (bwt_sentinel(t.w).run_count, True),
+    "v": lambda t: (len(lex_parse(t.w, t.ctx)), True),
+    "z": lambda t: (len(lz_parse(t.w, t.ctx)), True),
+    "z_e": lambda t: (len(lz_end_greedy(t.w, t.ctx)), True),
+    "z_end": _z_end,
+    "z_no": lambda t: (len(lz_no_overlap(t.w, t.ctx)), True),
+}
+MEASURE_IDS = tuple(MEASURES)
+
+
+def _check_measure_ids(measures: Iterable[str]) -> None:
+    for m in measures:
+        if m not in MEASURES:
+            raise KeyError(f"unknown measure id {m!r}")
 
 
 def measure_value(
     w: Text, measure: str, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[object, bool]:
-    if measure not in MEASURE_IDS:
-        raise KeyError(f"unknown measure id {measure!r}")
     return _MeasureRunner(w, node_budget).value(measure)
 
 
@@ -95,20 +96,17 @@ class SensitivityReport:
     exact: bool
 
     def swapped(self) -> "SensitivityReport":
-        mult = None
-        if self.value_rev and self.value_rev > 0:
-            mult = Fraction(self.value_fwd) / Fraction(self.value_rev)
-        return SensitivityReport(
-            self.measure, self.value_rev, self.value_fwd,
-            self.value_fwd - self.value_rev, mult, self.exact,
-        )
+        return _report(self.measure, self.value_rev, self.value_fwd, self.exact)
 
 
-def _report(measure: str, fwd: tuple[object, bool], rev: tuple[object, bool]) -> SensitivityReport:
-    vf, ef = fwd
-    vr, er = rev
+def _report(measure: str, vf: object, vr: object, exact: bool) -> SensitivityReport:
     mult = Fraction(vr) / Fraction(vf) if vf and vf > 0 else None
-    return SensitivityReport(measure, vf, vr, vr - vf, mult, ef and er)
+    return SensitivityReport(measure, vf, vr, vr - vf, mult, exact)
+
+
+def _evaluate(w: Text, measures: Sequence[str], node_budget: int) -> list[tuple[object, bool]]:
+    runner = _MeasureRunner(w, node_budget)
+    return [runner.value(m) for m in measures]
 
 
 def sensitivity_report(
@@ -118,12 +116,11 @@ def sensitivity_report(
     if len(w) == 0:
         raise ValueError("sensitivity reports require a non-empty text")
     wanted = sorted(set(measures))
-    for m in wanted:
-        if m not in MEASURE_IDS:
-            raise KeyError(f"unknown measure id {m!r}")
-    fwd = _MeasureRunner(w, node_budget)
-    rev = _MeasureRunner(reverse(w), node_budget)
-    return [_report(m, fwd.value(m), rev.value(m)) for m in wanted]
+    _check_measure_ids(wanted)
+    # one orientation at a time, so only one suffix context and matcher is alive
+    fwd = _evaluate(w, wanted, node_budget)
+    rev = _evaluate(reverse(w), wanted, node_budget)
+    return [_report(m, vf, vr, ef and er) for m, (vf, ef), (vr, er) in zip(wanted, fwd, rev)]
 
 
 @dataclass(frozen=True)
@@ -154,15 +151,8 @@ def sweep(
         spec = FamilySpec(family, param)
         w = generate(spec)
         for rep in sensitivity_report(w, measures, node_budget):
-            base_rows.append(SweepRow(
-                family, param, len(w), rep.measure, rep.value_fwd, rep.value_rev,
-                rep.additive, rep.multiplicative, rep.exact,
-            ))
-            back = rep.swapped()
-            partner_rows.append(SweepRow(
-                partner, param, len(w), back.measure, back.value_fwd, back.value_rev,
-                back.additive, back.multiplicative, back.exact,
-            ))
+            base_rows.append(SweepRow(family, param, len(w), **vars(rep)))
+            partner_rows.append(SweepRow(partner, param, len(w), **vars(rep.swapped())))
     return base_rows + partner_rows
 
 

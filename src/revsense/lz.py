@@ -81,10 +81,8 @@ class _SparseMin:
 class _SuffixMatcher:
     """Longest-match machinery over a suffix context (0-based internally)."""
 
-    def __init__(self, w: Text, ctx: SuffixContext | None = None):
-        if ctx is None:
-            ctx = build_suffix_context(w)
-        n = len(w)
+    def __init__(self, ctx: SuffixContext):
+        n = len(ctx)
         self.n = n
         self.sa0 = np.asarray(ctx.sa, dtype=np.int64) - 1
         self.isa0 = [r - 1 for r in ctx.isa]
@@ -209,42 +207,34 @@ def _match_lengths(symbols: tuple[int, ...], i0: int) -> list[int]:
     return [min(z[m + 1 + j], m) for j in range(len(symbols))]
 
 
-def lz_parse(w: Text, ctx: SuffixContext | None = None) -> Parsing:
-    """Greedy LZ with self-overlap allowed; phrase count = z(w)."""
+def _greedy_parse(w: Text, ctx: SuffixContext | None, longest_match, variant: str) -> Parsing:
+    """Greedy phrase loop: at each position take the longest qualifying
+    source that `longest_match(matcher, i0)` reports, else a literal."""
     if len(w) == 0:
         raise ValueError("cannot parse the empty text")
-    matcher = _SuffixMatcher(w, ctx)
+    matcher = (ctx or build_suffix_context(w)).matcher
     n = len(w)
     phrases: list[Phrase] = []
     i0 = 0
     while i0 < n:
-        ell, src0 = matcher.longest_earlier_match(i0)
+        ell, src0 = longest_match(matcher, i0)
         if ell == 0:
             phrases.append(Phrase(i0 + 1, 1, None))
             i0 += 1
         else:
             phrases.append(Phrase(i0 + 1, ell, src0 + 1))
             i0 += ell
-    return Parsing(tuple(phrases), "lz")
+    return Parsing(tuple(phrases), variant)
+
+
+def lz_parse(w: Text, ctx: SuffixContext | None = None) -> Parsing:
+    """Greedy LZ with self-overlap allowed; phrase count = z(w)."""
+    return _greedy_parse(w, ctx, _SuffixMatcher.longest_earlier_match, "lz")
 
 
 def lz_no_overlap(w: Text, ctx: SuffixContext | None = None) -> Parsing:
     """Greedy LZ with sources completely to the left; count = z_no(w)."""
-    if len(w) == 0:
-        raise ValueError("cannot parse the empty text")
-    matcher = _SuffixMatcher(w, ctx)
-    n = len(w)
-    phrases: list[Phrase] = []
-    i0 = 0
-    while i0 < n:
-        ell, src0 = matcher.longest_nonoverlapping_match(i0)
-        if ell == 0:
-            phrases.append(Phrase(i0 + 1, 1, None))
-            i0 += 1
-        else:
-            phrases.append(Phrase(i0 + 1, ell, src0 + 1))
-            i0 += ell
-    return Parsing(tuple(phrases), "lz_no")
+    return _greedy_parse(w, ctx, _SuffixMatcher.longest_nonoverlapping_match, "lz_no")
 
 
 def _end_aligned_candidates(
@@ -285,7 +275,7 @@ def lz_end_greedy(w: Text, ctx: SuffixContext | None = None) -> Parsing:
     if len(w) == 0:
         raise ValueError("cannot parse the empty text")
     n = len(w)
-    matcher = _SuffixMatcher(w, ctx)
+    matcher = (ctx or build_suffix_context(w)).matcher
     phrases: list[Phrase] = []
     ends = np.empty(n, dtype=np.int64)
     n_ends = 0
@@ -334,6 +324,7 @@ def lz_end_optimal(
         raise ValueError("cannot parse the empty text")
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
+    ctx = ctx or build_suffix_context(w)
     greedy = lz_end_greedy(w, ctx)
     base = lz_parse(w, ctx)
     if len(base) == len(greedy):
@@ -341,7 +332,7 @@ def lz_end_optimal(
 
     s = w.symbols
     n = len(s)
-    matcher = _SuffixMatcher(w, ctx)
+    matcher = ctx.matcher
     # Lower bound ignoring end-alignment: greedy jumps over the longest
     # earlier match are optimal for that relaxation.
     maxlen = [max(1, matcher.longest_earlier_match(i)[0]) for i in range(n)]

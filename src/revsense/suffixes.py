@@ -10,6 +10,7 @@ Arrays use 1-based position values (sa[i] is the 1-based start of the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +34,14 @@ class SuffixContext:
 
     def __len__(self) -> int:
         return len(self.sa)
+
+    @functools.cached_property
+    def matcher(self):
+        """The LZ longest-match structure over these arrays, built on first
+        use and kept for the life of the context; every LZ parser of the
+        text reads it, so it is built once per text."""
+        from . import lz    # lz imports this module
+        return lz._SuffixMatcher(self)
 
 
 def _initial_ranks(symbols: tuple[int, ...]) -> np.ndarray:

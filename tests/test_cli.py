@@ -126,6 +126,17 @@ def test_verify_pass(capsys):
     assert "60/60 checks passed" in out
 
 
+def test_verify_defaults_to_the_full_grid(capsys):
+    assert run_cli("verify", "--family", "u_k") == 0
+    assert capsys.readouterr().out.endswith("\n500/500 checks passed\n")
+
+
+def test_verify_rejects_quick_with_range(capsys):
+    assert run_cli("verify", "--family", "u_k", "--range", "1:100", "--quick") == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--quick cannot be combined with --range" in captured.err
+
+
 def test_verify_quick_all(capsys):
     assert run_cli("verify", "--family", "all", "--quick") == 0
     out = capsys.readouterr().out
@@ -176,6 +187,12 @@ def test_show_parse_views(tmp_path, capsys):
     assert "lex: 8 phrases" in out
     assert run_cli("show", "--family", "w_sigma", "--param", "6", "--view", "lz") == 0
     assert "lz: 13 phrases" in capsys.readouterr().out
+
+
+def test_show_every_view_dispatches(capsys):
+    for view in ("bwt", "bbwt", *cli.PARSE_VIEWS):
+        assert run_cli("show", "--family", "w_sigma", "--param", "4", "--view", view) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith(f"{view}: ")
 
 
 def test_show_cap(tmp_path, capsys):

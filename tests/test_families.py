@@ -2,6 +2,8 @@ import pytest
 
 from revsense.families import (
     FAMILIES,
+    VERIFY_GRIDS,
+    _PREDICTORS,
     FamilySpec,
     T55,
     a_staircase,
@@ -132,6 +134,12 @@ def test_every_prediction_carries_a_formula():
         for pred in predictions(FamilySpec(family, param)):
             assert pred.formula
             assert pred.measure
+
+
+def test_verify_grids_cover_the_predicted_families():
+    assert set(VERIFY_GRIDS) == set(_PREDICTORS)
+    for quick, full in VERIFY_GRIDS.values():
+        assert set(quick) <= set(full)
 
 
 def test_predict_transform_examples():

@@ -6,6 +6,7 @@ import pytest
 from revsense.families import FamilySpec, generate
 from revsense.harness import (
     MEASURE_IDS,
+    MEASURES,
     measure_value,
     rows_from_csv,
     rows_to_csv,
@@ -67,6 +68,7 @@ def test_report_validation():
 def test_measure_ids_complete():
     assert set(MEASURE_IDS) == {"delta", "e", "r", "r_b", "r_dollar", "v",
                                 "z", "z_e", "z_end", "z_no"}
+    assert MEASURE_IDS == tuple(sorted(MEASURES))
 
 
 def test_sweep_structure_and_order():

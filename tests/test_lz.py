@@ -93,6 +93,33 @@ def test_budget_exhaustion_flag():
     assert len(parsing) == len(lz_end_greedy(w))  # best found so far = greedy
 
 
+def test_one_matcher_per_text(monkeypatch):
+    from revsense import lz
+    from revsense.harness import sensitivity_report
+    from revsense.suffixes import build_suffix_context
+    builds = []
+    init = lz._SuffixMatcher.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(lz._SuffixMatcher, "__init__", counted)
+    w = Text.from_str("101000100001100010000100")
+    assert len(lz_parse(w)) != len(lz_end_greedy(w))     # z_end runs its search
+    builds.clear()
+    sensitivity_report(w, ["z", "z_no", "z_e", "z_end", "v"])
+    assert len(builds) == 2                              # one per orientation
+    builds.clear()
+    assert lz_end_optimal(w)[1]
+    assert len(builds) == 1
+    ctx = build_suffix_context(w)
+    for parse in (lz_parse, lz_no_overlap, lz_end_greedy, lz_end_optimal):
+        assert parse(w, ctx=ctx) == parse(w)
+    # the cached matcher is not part of the context's value
+    assert ctx == build_suffix_context(w) and hash(ctx) == hash(build_suffix_context(w))
+
+
 def _source_constraints_ok(parsing, w):
     ends = set()
     for ph in parsing.phrases:
