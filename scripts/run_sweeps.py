@@ -6,11 +6,13 @@ Covers the families with extremal behaviour: BWT-run growth (u_k),
 the LZ ratio approaching 3 (T_p), the linear additive LZ/lex gap
 (w_sigma), the constant-size lex parse of reversed Fibonacci-plus-c
 words, Fibonacci-plus BWT runs, and the right-extension doubling family.
+The wall time of each table goes to stderr; stdout lists the files.
 """
 
 import argparse
 import pathlib
 import sys
+import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -33,10 +35,12 @@ def main() -> int:
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for family, params, measures in SWEEPS:
+        t0 = time.perf_counter()
         rows = sweep(family, list(params), measures)
         path = out / f"{family}.csv"
         path.write_text(rows_to_csv(rows), encoding="utf-8")
         print(f"wrote {path} ({len(rows)} rows)")
+        print(f"{family}: {time.perf_counter() - t0:.2f} s", file=sys.stderr)
     return 0
 
 

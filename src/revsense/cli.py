@@ -186,6 +186,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             param = "-" if r.param is None else r.param
             lines.append(f"{status}  {r.family:<16} param={param:<5} {r.check:<9} "
                          f"expected={expected} computed={computed}")
+    if total == 0:
+        raise CliError(f"no checks to run: family {args.family!r} carries no predictions "
+                       "for the given parameters")
     lines.append(f"{total - failed}/{total} checks passed")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK if failed == 0 else EXIT_VERIFY_FAILED

@@ -84,12 +84,10 @@ class _SuffixMatcher:
     def __init__(self, ctx: SuffixContext):
         n = len(ctx)
         self.n = n
-        self.sa0 = np.asarray(ctx.sa, dtype=np.int64) - 1
         self.isa0 = [r - 1 for r in ctx.isa]
-        self.lcp = np.asarray(ctx.lcp, dtype=np.int64)
-        self.lcp_rmq = _SparseMin(self.lcp)
-        self.sa_rmq = _SparseMin(self.sa0)
-        sa_list = self.sa0.tolist()
+        self.lcp = ctx.lcp
+        self.lcp_rmq = _SparseMin(np.asarray(ctx.lcp, dtype=np.int64))
+        sa_list = [p - 1 for p in ctx.sa]
         psv = [-1] * n
         stack: list[int] = []
         for r in range(n):
@@ -129,61 +127,59 @@ class _SuffixMatcher:
                 best, src = ell, self.sa_list[cand]
         return best, src
 
-    def _interval_with_lcp(self, r: int, ell: int) -> tuple[int, int]:
-        """Maximal rank interval around r whose suffixes share a prefix
-        of length >= ell with suffix rank r."""
-        lo, hi = r, r
-        a, b = 0, r
-        while a < b:
-            mid = (a + b) // 2
-            if self.lcp_rmq.query(mid + 1, r) >= ell:
-                b = mid
-            else:
-                a = mid + 1
-        lo = a
-        a, b = r, self.n - 1
-        while a < b:
-            mid = (a + b + 1) // 2
-            if self.lcp_rmq.query(r + 1, mid) >= ell:
-                a = mid
-            else:
-                b = mid - 1
-        hi = a
-        return lo, hi
+    def longest_nonoverlapping_match(self, i0: int) -> tuple[int, int | None]:
+        """Longest prefix of w[i0:] with an occurrence inside [0, i0),
+        leftmost source on ties.
 
-    def match_all(self, i0: int) -> np.ndarray:
-        """Vector of lcp(suffix_j, suffix_i0) over all positions j.
+        Walks the previous- and next-smaller-value chains outward from the
+        rank of i0 (Crochemore & Tischler, IPL 2011).  A rank that a chain
+        skips has a lower lcp with i0 and a later start than the chain
+        rank that skips it, so it never scores higher.  A walk stops once
+        its running lcp falls below the best length, so a phrase costs
+        O(its earlier occurrences) rank steps.
+        """
+        r = self.isa0[i0]
+        sa, query = self.sa_list, self.lcp_rmq.query
+        best, src = 0, None
+        for chain, left in ((self.psv, True), (self.nsv, False)):
+            prev, x, c = r, chain[r], self.n
+            while x >= 0:
+                c = min(c, query(x + 1, prev) if left else query(prev + 1, x))
+                if c < best or not c:
+                    break
+                v = min(c, i0 - sa[x])
+                if v > best or (v == best and sa[x] < src):
+                    best, src = v, sa[x]
+                prev, x = x, chain[x]
+        return best, src
 
-        Running minima over the LCP array outward from rank of i0.
+    def longest_end_aligned_match(self, i0: int, ends: list[int]) -> tuple[int, int | None]:
+        """Longest prefix of w[i0:] with an occurrence that starts before
+        i0 and ends at one of `ends` (sorted 1-based phrase ends, all
+        <= i0), leftmost source on ties.
+
+        Lengths that qualify are not downward closed, so every rank on
+        both sides of the rank of i0 is visited while the running lcp
+        minimum c can still reach the best length; a source p gets the
+        largest end in (p, min(p + c, i0)].
         """
         n, r = self.n, self.isa0[i0]
-        match = np.empty(n, dtype=np.int64)
-        if r > 0:
-            match[self.sa0[:r]] = np.minimum.accumulate(self.lcp[1:r + 1][::-1])[::-1]
-        if r < n - 1:
-            match[self.sa0[r + 1:]] = np.minimum.accumulate(self.lcp[r + 1:])
-        match[i0] = n - i0
-        return match
-
-    def longest_nonoverlapping_match(self, i0: int) -> tuple[int, int | None]:
-        """Longest prefix of w[i0:] with an occurrence inside [0, i0)."""
-        n = self.n
-        r = self.isa0[i0]
-        max_ell = min(i0, n - i0)
+        sa, lcp = self.sa_list, self.lcp
         best, src = 0, None
-        lo_ell, hi_ell = 1, max_ell
-        while lo_ell <= hi_ell:
-            mid = (lo_ell + hi_ell) // 2
-            lo, hi = self._interval_with_lcp(r, mid)
-            if self.sa_rmq.query(lo, hi) <= i0 - mid:
-                best = mid
-                lo_ell = mid + 1
-            else:
-                hi_ell = mid - 1
-        if best:
-            lo, hi = self._interval_with_lcp(r, best)
-            window = self.sa0[lo:hi + 1]
-            src = int(window[window <= i0 - best].min())
+        for step in (-1, 1):
+            x, c = r + step, n
+            while 0 <= x < n:
+                c = min(c, lcp[x + 1] if step < 0 else lcp[x])
+                if c < best or not c:
+                    break
+                p = sa[x]
+                if p < i0:
+                    k = bisect_right(ends, min(p + c, i0)) - 1
+                    if k >= 0 and ends[k] > p:
+                        ell = ends[k] - p
+                        if ell > best or (ell == best and p < src):
+                            best, src = ell, p
+                x += step
         return best, src
 
 
@@ -269,42 +265,18 @@ def lz_end_greedy(w: Text, ctx: SuffixContext | None = None) -> Parsing:
     Feasible lengths at a position are not downward closed (an
     occurrence ending at a boundary says nothing about its shorter
     prefixes), so the maximum is taken over all (source, boundary)
-    combinations: per source start j the best candidate is the largest
-    boundary within the match range of j, found by binary search.
+    combinations by `_SuffixMatcher.longest_end_aligned_match`.
     """
-    if len(w) == 0:
-        raise ValueError("cannot parse the empty text")
-    n = len(w)
-    matcher = (ctx or build_suffix_context(w)).matcher
-    phrases: list[Phrase] = []
-    ends = np.empty(n, dtype=np.int64)
-    n_ends = 0
-    i0 = 0
-    while i0 < n:
-        best_ell, best_src = 0, -1
-        if n_ends:
-            match = matcher.match_all(i0)
-            j = np.arange(i0)
-            m = np.minimum(match[:i0], n - i0)
-            hi = np.minimum(j + m, i0)
-            idx = np.searchsorted(ends[:n_ends], hi, side="right") - 1
-            e = ends[np.maximum(idx, 0)]
-            ell = e - j
-            ell[(m <= 0) | (idx < 0) | (e <= j)] = 0
-            best_ell = int(ell.max()) if i0 else 0
-            if best_ell > 0:
-                best_src = int(np.argmax(ell))
-        if best_ell == 0:
-            phrases.append(Phrase(i0 + 1, 1, None))
-            end = i0 + 1
-            i0 += 1
-        else:
-            phrases.append(Phrase(i0 + 1, best_ell, best_src + 1))
-            end = i0 + best_ell
-            i0 += best_ell
-        ends[n_ends] = end
-        n_ends += 1
-    return Parsing(tuple(phrases), "lz_end_greedy")
+    ends: list[int] = []   # 1-based ends of the phrases produced so far
+
+    def longest_match(matcher: _SuffixMatcher, i0: int) -> tuple[int, int | None]:
+        # the greedy loop asks once per phrase start, in order, and every
+        # start after the first ends the phrase before it
+        if i0:
+            ends.append(i0)
+        return matcher.longest_end_aligned_match(i0, ends)
+
+    return _greedy_parse(w, ctx, longest_match, "lz_end_greedy")
 
 
 def lz_end_optimal(

@@ -36,39 +36,46 @@ def brute_lz_shape(s):
     return tuple(out)
 
 
-def brute_lz_no_overlap_shape(s):
+def brute_lz_no_overlap(s):
+    """Greedy LZ with sources entirely before the phrase, as 1-based
+    (start, length, source) triples; source None marks a literal, and
+    ties go to the leftmost source."""
     n = len(s)
     i = 0
     out = []
     while i < n:
-        best = 0
+        best, src = 0, None
         for j in range(i):
             l = 0
             while i + l < n and j + l < i and s[j + l] == s[i + l]:
                 l += 1
             if l > best:
-                best = l
+                best, src = l, j + 1
         step = best if best else 1
-        out.append((i + 1, step))
+        out.append((i + 1, step, src))
         i += step
     return tuple(out)
 
 
-def brute_lz_end_greedy_shape(s):
-    """Greedy end-aligned LZ: scan every (source, boundary) pair."""
+def brute_lz_end_greedy(s):
+    """Greedy end-aligned LZ as (start, length, source) triples: every
+    source start j against every earlier phrase end inside its match,
+    leftmost source on ties."""
     n = len(s)
     i = 0
-    ends = []
+    ends = []  # 1-based ends of the phrases so far
     out = []
     while i < n:
-        best = 0
-        for e in ends:  # 1-based end of a previous phrase
-            for ell in range(1, min(e, n - i) + 1):
-                j = e - ell  # 0-based source start
-                if s[j:j + ell] == s[i:i + ell] and ell > best:
-                    best = ell
+        best, src = 0, None
+        for j in range(i):
+            l = 0
+            while i + l < n and s[j + l] == s[i + l]:
+                l += 1
+            for e in ends:
+                if j < e <= min(j + l, i) and e - j > best:
+                    best, src = e - j, j + 1
         step = best if best else 1
-        out.append((i + 1, step))
+        out.append((i + 1, step, src))
         ends.append(i + step)
         i += step
     return tuple(out)

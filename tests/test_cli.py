@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 import revsense.cli as cli
 from revsense.harness import VerifyRow
 
@@ -135,6 +137,14 @@ def test_verify_rejects_quick_with_range(capsys):
     assert run_cli("verify", "--family", "u_k", "--range", "1:100", "--quick") == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--quick cannot be combined with --range" in captured.err
+
+
+@pytest.mark.parametrize("family, span", [("fib", "1:5"), ("c_fib_rev", "3:8")])
+def test_verify_rejects_a_run_that_checks_nothing(family, span, capsys):
+    # fib carries no predictions; c_fib_rev predicts v for odd k >= 9 only
+    assert run_cli("verify", "--family", family, "--range", span) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no checks to run" in captured.err
 
 
 def test_verify_quick_all(capsys):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +9,8 @@ from revsense.lz import lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
 from revsense.text import Text, reverse
 
 from oracles import (
-    brute_lz_end_greedy_shape,
-    brute_lz_no_overlap_shape,
+    brute_lz_end_greedy,
+    brute_lz_no_overlap,
     brute_lz_shape,
     decode_parsing,
     exhaustive_lz_end_size,
@@ -22,6 +23,10 @@ nonempty_texts = st.lists(st.integers(0, 3), min_size=1, max_size=40).map(lambda
 
 def phrase_strings(parsing, w):
     return [t.display() for t in parsing.phrase_texts(w)]
+
+
+def triples(parsing):
+    return tuple((p.start, p.length, p.source) for p in parsing.phrases)
 
 
 def test_worked_example():
@@ -153,8 +158,59 @@ def test_differential_vs_brute():
         s = random_symbols(rng, 48)
         w = Text(s)
         assert lz_parse(w).shape() == brute_lz_shape(s)
-        assert lz_no_overlap(w).shape() == brute_lz_no_overlap_shape(s)
-        assert lz_end_greedy(w).shape() == brute_lz_end_greedy_shape(s)
+        assert triples(lz_no_overlap(w)) == brute_lz_no_overlap(s)
+        assert triples(lz_end_greedy(w)) == brute_lz_end_greedy(s)
+
+
+def test_sources_match_oracle():
+    # the rank walks must pick the leftmost source on ties, as the oracles do
+    rng = random.Random(6)
+    for k in range(2100):
+        sigma = rng.randint(1, 4)
+        n = rng.randint(1, 80)
+        if k % 3 == 0:
+            block = tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 6)))
+            s = (block * n)[:n]
+        else:
+            s = tuple(rng.randrange(sigma) for _ in range(n))
+        w = Text(s)
+        assert triples(lz_no_overlap(w)) == brute_lz_no_overlap(s), s
+        assert triples(lz_end_greedy(w)) == brute_lz_end_greedy(s), s
+
+
+def _timed_parse(parse, w):
+    t0 = time.perf_counter()
+    p = parse(w)
+    elapsed = time.perf_counter() - t0
+    assert decode_parsing(p, w) == w.symbols
+    assert _source_constraints_ok(p, w)
+    return p, elapsed
+
+
+def test_no_overlap_scales_to_1e5():
+    rng = random.Random(13)
+    w = Text(tuple(rng.randrange(4) for _ in range(10**5)))
+    p, elapsed = _timed_parse(lz_no_overlap, w)
+    assert len(lz_parse(w)) <= len(p)
+    assert elapsed < 3
+
+
+def test_end_greedy_scales_to_3e4():
+    rng = random.Random(14)
+    w = Text(tuple(rng.randrange(4) for _ in range(3 * 10**4)))
+    p, elapsed = _timed_parse(lz_end_greedy, w)
+    assert len(lz_parse(w)) <= len(p)
+    assert elapsed < 3
+
+
+@pytest.mark.parametrize("parse", [lz_no_overlap, lz_end_greedy])
+def test_unary_worst_case_1e5(parse):
+    # a phrase costs O(its earlier occurrences) rank steps, which is every
+    # earlier position on a unary text; phrase lengths double: 1, 1, 2, 4, ...
+    w = Text((0,) * 10**5)
+    p, elapsed = _timed_parse(parse, w)
+    assert len(p) == 18
+    assert elapsed < 5
 
 
 def test_optimal_lz_end_vs_exhaustive():
