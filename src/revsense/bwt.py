@@ -12,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
+import numpy as np
+
 from .suffixes import cyclic_rotation_order
-from .text import Text, lyndon_factorize, rle
+from .text import Text, lyndon_factorize
 from .textio import SENTINEL_NAME
 
 
@@ -24,18 +26,18 @@ class TransformResult:
     variant: str
 
 
-def _result(output: Text, variant: str) -> TransformResult:
-    return TransformResult(output=output, run_count=len(rle(output)), variant=variant)
+def _result(w: Text, pred: np.ndarray, variant: str) -> TransformResult:
+    out = np.asarray(w.symbols)[pred]
+    runs = 1 + int(np.count_nonzero(out[1:] != out[:-1]))
+    return TransformResult(Text(tuple(out.tolist()), w.names), runs, variant)
 
 
 def bwt(w: Text) -> TransformResult:
     """Plain BWT over the rotations of w itself (no sentinel)."""
     if len(w) == 0:
         raise ValueError("BWT requires a non-empty text")
-    s = w.symbols
-    order = cyclic_rotation_order(w)
-    out = tuple(s[p - 2] for p in order)  # p-2 = cyclic predecessor, works for p=1 too
-    return _result(Text(out, w.names), "plain")
+    order = np.asarray(cyclic_rotation_order(w))
+    return _result(w, order - 2, "plain")  # p-2 = cyclic predecessor, -1 for p=1
 
 
 def bwt_sentinel(w: Text) -> TransformResult:
@@ -68,12 +70,13 @@ def bbwt(w: Text) -> TransformResult:
     """
     if len(w) == 0:
         raise ValueError("BBWT requires a non-empty text")
-    s = w.symbols
     starts = lyndon_starts(w)
-    next_start = dict(zip(starts, starts[1:] + (len(s) + 1,)))
-    # p-2 indexes p's predecessor; a factor's first rotation wraps to its last symbol
-    out = tuple(s[next_start.get(p, p) - 2] for p in cyclic_rotation_order(w, starts))
-    return _result(Text(out, w.names), "bijective")
+    first = np.asarray(starts) - 1
+    # 0-based predecessor within each factor; a factor's first position wraps to its last
+    pred = np.arange(-1, len(w) - 1)
+    pred[first] = np.append(first[1:], len(w)) - 1
+    order = np.asarray(cyclic_rotation_order(w, starts))
+    return _result(w, pred[order - 1], "bijective")
 
 
 def lyndon_starts(w: Text) -> tuple[int, ...]:

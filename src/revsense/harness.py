@@ -27,7 +27,7 @@ from .families import (
     transform_predictions,
 )
 from .lexparse import lex_parse
-from .lz import lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
+from .lz import Parsing, lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
 from .measures import right_extension_count, substring_complexity
 from .suffixes import SuffixContext, build_suffix_context
 from .text import Text, reverse
@@ -46,6 +46,15 @@ class _MeasureRunner:
     def ctx(self) -> SuffixContext:
         return build_suffix_context(self.w)
 
+    # z and z_e keep their parses, which z_end's search starts from
+    @functools.cached_property
+    def lz(self) -> Parsing:
+        return lz_parse(self.w, self.ctx)
+
+    @functools.cached_property
+    def lz_end(self) -> Parsing:
+        return lz_end_greedy(self.w, self.ctx)
+
     def value(self, measure: str) -> tuple[object, bool]:
         """(value, exact); exact is False only for budget-limited z_end."""
         _check_measure_ids([measure])
@@ -53,7 +62,7 @@ class _MeasureRunner:
 
 
 def _z_end(t: _MeasureRunner) -> tuple[int, bool]:
-    parsing, exact = lz_end_optimal(t.w, t.node_budget, t.ctx)
+    parsing, exact = lz_end_optimal(t.w, t.node_budget, t.ctx, t.lz_end, t.lz)
     return len(parsing), exact
 
 
@@ -66,8 +75,8 @@ MEASURES: dict[str, Callable[[_MeasureRunner], tuple[object, bool]]] = {
     "r_b": lambda t: (bbwt(t.w).run_count, True),
     "r_dollar": lambda t: (bwt_sentinel(t.w).run_count, True),
     "v": lambda t: (len(lex_parse(t.w, t.ctx)), True),
-    "z": lambda t: (len(lz_parse(t.w, t.ctx)), True),
-    "z_e": lambda t: (len(lz_end_greedy(t.w, t.ctx)), True),
+    "z": lambda t: (len(t.lz), True),
+    "z_e": lambda t: (len(t.lz_end), True),
     "z_end": _z_end,
     "z_no": lambda t: (len(lz_no_overlap(t.w, t.ctx)), True),
 }

@@ -280,7 +280,8 @@ def lz_end_greedy(w: Text, ctx: SuffixContext | None = None) -> Parsing:
 
 
 def lz_end_optimal(
-    w: Text, node_budget: int = 10**6, ctx: SuffixContext | None = None
+    w: Text, node_budget: int = 10**6, ctx: SuffixContext | None = None,
+    greedy: Parsing | None = None, base: Parsing | None = None,
 ) -> tuple[Parsing, bool]:
     """Smallest end-aligned parsing; count = z_end(w).
 
@@ -291,14 +292,19 @@ def lz_end_optimal(
     branch-and-bound pruning; per-position match arrays are memoized.
     Exactness is False when node_budget is exhausted (the best parsing
     found so far is returned).
+
+    `greedy` and `base` are lz_end_greedy(w) and lz_parse(w) when the
+    caller has them already; each one not given is computed here.
     """
     if len(w) == 0:
         raise ValueError("cannot parse the empty text")
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
+    if (greedy and greedy.variant != "lz_end_greedy") or (base and base.variant != "lz"):
+        raise ValueError("greedy and base must be the lz_end_greedy and lz_parse parsings")
     ctx = ctx or build_suffix_context(w)
-    greedy = lz_end_greedy(w, ctx)
-    base = lz_parse(w, ctx)
+    greedy = greedy or lz_end_greedy(w, ctx)
+    base = base or lz_parse(w, ctx)
     if len(base) == len(greedy):
         return Parsing(greedy.phrases, "lz_end"), True
 

@@ -29,8 +29,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 from .suffixes import SuffixContext, build_suffix_context
 from .text import Text
+
+
+def _substring_counts(w: Text, ctx: SuffixContext | None) -> np.ndarray:
+    if len(w) == 0:
+        raise ValueError("substring counts require a non-empty text")
+    if ctx is None:
+        ctx = build_suffix_context(w)
+    n = len(w)
+    # geq[k] = number of LCP entries >= k
+    geq = np.bincount(np.asarray(ctx.lcp), minlength=n + 1)[::-1].cumsum()[::-1]
+    return np.arange(n, 0, -1) - geq[1:]     # n - k + 1 suffixes of length >= k
 
 
 def distinct_substring_counts(w: Text, ctx: SuffixContext | None = None) -> list[int]:
@@ -39,27 +52,17 @@ def distinct_substring_counts(w: Text, ctx: SuffixContext | None = None) -> list
     Distinct substrings of length k are suffix prefixes minus repeats:
     (#suffixes of length >= k) - (#LCP entries >= k).
     """
-    if len(w) == 0:
-        raise ValueError("substring counts require a non-empty text")
-    if ctx is None:
-        ctx = build_suffix_context(w)
-    n = len(w)
-    geq = [0] * (n + 2)
-    for v in ctx.lcp:
-        if v > 0:
-            geq[min(v, n)] += 1
-    for k in range(n - 1, 0, -1):
-        geq[k] += geq[k + 1]
-    return [(n - k + 1) - geq[k] for k in range(1, n + 1)]
+    return _substring_counts(w, ctx).tolist()
 
 
 def substring_complexity(w: Text, ctx: SuffixContext | None = None) -> Fraction:
-    counts = distinct_substring_counts(w, ctx)
-    best_num, best_den = 0, 1
-    for k, c in enumerate(counts, start=1):
-        if c * best_den > best_num * k:
-            best_num, best_den = c, k
-    return Fraction(best_num, best_den)
+    """delta(w) = max_k c_k / k.  Float ratios pick the candidates within a
+    relative 1e-9 of the maximum (counts are at most n, so a float ratio
+    is off by far less); the exact maximum is taken over those alone."""
+    counts = _substring_counts(w, ctx)
+    ratio = counts / np.arange(1, len(counts) + 1)
+    near = np.flatnonzero(ratio >= ratio.max() * (1 - 1e-9))
+    return max(Fraction(int(counts[i]), int(i) + 1) for i in near)
 
 
 def right_extensions(w: Text) -> set[Text]:

@@ -1,8 +1,7 @@
 """Suffix array / inverse / LCP construction and cyclic rotation ranking.
 
-The efficient constructions are prefix-doubling over numpy lexsorts
-(O(n log n)); naive twins that sort materialized suffixes/rotations by
-direct comparison are kept alongside for differential testing.
+Both orders come from one numpy prefix-doubling kernel (O(n log n)); the
+suffix order of w is the rotation order of w$.
 
 Arrays use 1-based position values (sa[i] is the 1-based start of the
 (i+1)-th smallest suffix) stored in ordinary 0-indexed tuples.
@@ -49,36 +48,62 @@ def _initial_ranks(symbols: tuple[int, ...]) -> np.ndarray:
     return np.unique(a, return_inverse=True)[1].astype(np.int64)
 
 
-def _refine(rank: np.ndarray, key2: np.ndarray) -> tuple[np.ndarray, bool]:
-    """One doubling round: re-rank by (rank, key2) pairs."""
+def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Ranks 0, 1, ... of the keys in sorted order (equal keys share a
+    rank), and whether they are all distinct."""
+    order = np.argsort(key)
+    sk = key[order]
+    csum = np.zeros(len(key), dtype=np.int64)
+    np.cumsum(sk[1:] != sk[:-1], out=csum[1:])
+    rank = np.empty_like(csum)
+    rank[order] = csum
+    return rank, int(csum[-1]) == len(key) - 1
+
+
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(len(perm))
+    return inv
+
+
+def _doubling_ranks(rank: np.ndarray, succ: np.ndarray, limit: int) -> np.ndarray:
+    """Ranks 0..n-1 of the positions by the symbols they reach along `succ`.
+
+    `rank` holds non-negative symbol ranks and `succ` a successor
+    permutation; position i reads rank[i], rank[succ[i]], ...  Prefix
+    doubling compares 2^j symbols after round j and stops once the ranks
+    are distinct or at least `limit` symbols were compared; positions
+    still equal then are ranked by position.  While two k-symbol keys fit
+    in 62 bits, the first rounds pack them into one int64 by shifts, with
+    no sort; each later round sorts the single key rank * n + rank[succ]
+    (Manber & Myers, SIAM J. Comput. 1993).
+    """
     n = len(rank)
-    order = np.lexsort((key2, rank))
-    r1, r2 = rank[order], key2[order]
-    changed = np.empty(n, dtype=np.int64)
-    changed[0] = 0
-    changed[1:] = (r1[1:] != r1[:-1]) | (r2[1:] != r2[:-1])
-    csum = np.cumsum(changed)
-    new_rank = np.empty(n, dtype=np.int64)
-    new_rank[order] = csum
-    return new_rank, int(csum[-1]) == n - 1
+    bits = max(1, int(rank.max()).bit_length())
+    key, k = rank, 1
+    while k < limit and 2 * k * bits <= 62:
+        key = (key << (k * bits)) | key[succ]
+        succ = succ[succ]
+        k *= 2
+    rank, distinct = _dense_ranks(key)
+    while not distinct and k < limit:
+        rank, distinct = _dense_ranks(rank * n + rank[succ])
+        succ = succ[succ]
+        k *= 2
+    if not distinct:
+        rank, _ = _dense_ranks(rank * n + np.arange(n))
+    return rank
 
 
 def _suffix_sort(symbols: tuple[int, ...]) -> np.ndarray:
-    """0-based suffix array by prefix doubling; shorter suffix wins ties."""
+    """0-based suffix array; a shorter suffix precedes a longer one it
+    prefixes.  This is the rotation order of w$, `$` being a unique
+    smallest symbol, so it ranks the cycle of w$ and drops the `$`."""
     n = len(symbols)
-    rank = _initial_ranks(symbols)
-    k = 1
-    while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        if k < n:
-            key2[: n - k] = rank[k:]
-        rank, distinct = _refine(rank, key2)
-        if distinct:
-            break
-        k *= 2
-    sa = np.empty(n, dtype=np.int64)
-    sa[rank] = np.arange(n)
-    return sa
+    rank = np.append(_initial_ranks(symbols) + 1, 0)
+    succ = np.arange(1, n + 2, dtype=np.int64)
+    succ[n] = 0
+    return _inverse(_doubling_ranks(rank, succ, n + 1))[1:]
 
 
 def _kasai_lcp(symbols: tuple[int, ...], sa0: np.ndarray, isa0: np.ndarray) -> list[int]:
@@ -105,34 +130,9 @@ def build_suffix_context(w: Text) -> SuffixContext:
     if len(w) == 0:
         raise ValueError("suffix structures require a non-empty text")
     sa0 = _suffix_sort(w.symbols)
-    isa0 = np.empty(len(w), dtype=np.int64)
-    isa0[sa0] = np.arange(len(w))
+    isa0 = _inverse(sa0)
     lcp = _kasai_lcp(w.symbols, sa0, isa0)
-    return SuffixContext(
-        sa=tuple(int(p) + 1 for p in sa0),
-        isa=tuple(int(r) + 1 for r in isa0),
-        lcp=tuple(lcp),
-    )
-
-
-def naive_suffix_context(w: Text) -> SuffixContext:
-    """Oracle twin: sort materialized suffixes, LCP by direct scan."""
-    if len(w) == 0:
-        raise ValueError("suffix structures require a non-empty text")
-    s = w.symbols
-    n = len(s)
-    sa = sorted(range(1, n + 1), key=lambda i: s[i - 1:])
-    isa = [0] * n
-    for r, p in enumerate(sa, start=1):
-        isa[p - 1] = r
-    lcp = [0] * n
-    for r in range(1, n):
-        a, b = s[sa[r - 1] - 1:], s[sa[r] - 1:]
-        m = 0
-        while m < len(a) and m < len(b) and a[m] == b[m]:
-            m += 1
-        lcp[r] = m
-    return SuffixContext(tuple(sa), tuple(isa), tuple(lcp))
+    return SuffixContext(tuple((sa0 + 1).tolist()), tuple((isa0 + 1).tolist()), tuple(lcp))
 
 
 def cyclic_rotation_order(w: Text, starts: Sequence[int] = (1,)) -> tuple[int, ...]:
@@ -158,22 +158,5 @@ def cyclic_rotation_order(w: Text, starts: Sequence[int] = (1,)) -> tuple[int, .
     succ = np.arange(1, n + 1, dtype=np.int64)
     succ[ends - 1] = first
     longest = int((ends - first).max())
-    rank = _initial_ranks(w.symbols)
-    k = 1
-    while k < 2 * longest:
-        rank, distinct = _refine(rank, rank[succ])
-        if distinct:
-            break
-        succ = succ[succ]
-        k *= 2
-    order = np.argsort(rank, kind="stable")
-    return tuple(int(p) + 1 for p in order)
-
-
-def naive_cyclic_rotation_order(w: Text) -> tuple[int, ...]:
-    """Oracle twin: materialize and sort all rotations."""
-    if len(w) == 0:
-        raise ValueError("the empty text has no rotations")
-    s = w.symbols
-    n = len(s)
-    return tuple(sorted(range(1, n + 1), key=lambda i: (s[i - 1:] + s[:i - 1], i)))
+    order = _inverse(_doubling_ranks(_initial_ranks(w.symbols), succ, 2 * longest))
+    return tuple((order + 1).tolist())

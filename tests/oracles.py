@@ -1,7 +1,9 @@
 """Independent brute-force oracles for differential tests.
 
 Everything here works directly from definitions on plain symbol tuples,
-deliberately sharing no machinery with the library implementations.
+deliberately sharing no machinery with the library implementations; the
+suffix-structure oracles take a Text and return the library's
+SuffixContext only so that results compare with ==.
 """
 
 from __future__ import annotations
@@ -9,6 +11,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+
+from revsense.suffixes import SuffixContext
 
 
 def random_symbols(rng: random.Random, max_n: int, alphabets=(2, 3, 5), min_n: int = 1):
@@ -189,3 +193,41 @@ def decode_parsing(parsing, w):
             for t in range(ph.length):
                 out.append(out[src0 + t])
     return tuple(out)
+
+
+def naive_suffix_context(w):
+    """Suffix array, inverse and LCP of a Text by sorting materialized
+    suffixes and scanning neighbours directly."""
+    if len(w) == 0:
+        raise ValueError("suffix structures require a non-empty text")
+    s = w.symbols
+    n = len(s)
+    sa = sorted(range(1, n + 1), key=lambda i: s[i - 1:])
+    isa = [0] * n
+    for r, p in enumerate(sa, start=1):
+        isa[p - 1] = r
+    lcp = [0] * n
+    for r in range(1, n):
+        a, b = s[sa[r - 1] - 1:], s[sa[r] - 1:]
+        m = 0
+        while m < len(a) and m < len(b) and a[m] == b[m]:
+            m += 1
+        lcp[r] = m
+    return SuffixContext(tuple(sa), tuple(isa), tuple(lcp))
+
+
+def naive_cyclic_rotation_order(w, starts=(1,)):
+    """1-based rotation starts of the cycles of a Text (the factors that
+    begin at `starts`), sorted by their infinite powers cut to twice the
+    longest cycle (two powers that agree on |x| + |y| symbols are equal),
+    ties by start position."""
+    s = w.symbols
+    bounds = list(starts) + [len(s) + 1]
+    cut = 2 * max(b - a for a, b in zip(bounds, bounds[1:]))
+    keys = []
+    for a, b in zip(bounds, bounds[1:]):
+        f = s[a - 1:b - 1]
+        for k in range(len(f)):
+            rot = f[k:] + f[:k]
+            keys.append(((rot * (cut // len(rot) + 1))[:cut], a + k))
+    return tuple(p for _, p in sorted(keys))

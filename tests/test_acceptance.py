@@ -29,15 +29,16 @@ from revsense.harness import rows_from_csv, rows_to_csv, sweep
 from revsense.lexparse import lex_parse
 from revsense.lz import lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
 from revsense.measures import right_extension_count, substring_complexity
-from revsense.suffixes import (
-    build_suffix_context,
-    cyclic_rotation_order,
-    naive_cyclic_rotation_order,
-    naive_suffix_context,
-)
+from revsense.suffixes import build_suffix_context, cyclic_rotation_order
 from revsense.text import Text, concat, is_lyndon, lyndon_factorize, reverse
 
-from oracles import brute_lz_shape, left_source_optimal_size, random_symbols
+from oracles import (
+    brute_lz_shape,
+    left_source_optimal_size,
+    naive_cyclic_rotation_order,
+    naive_suffix_context,
+    random_symbols,
+)
 
 
 def report(criterion, ok, detail):

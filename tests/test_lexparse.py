@@ -5,10 +5,10 @@ import pytest
 from revsense.families import FamilySpec, central_word, fibonacci_word, generate
 from revsense.lexparse import lex_parse
 from revsense.lz import lz_parse
-from revsense.suffixes import build_suffix_context, naive_suffix_context
+from revsense.suffixes import build_suffix_context
 from revsense.text import Text, reverse
 
-from oracles import random_symbols
+from oracles import naive_suffix_context, random_symbols
 
 
 def test_worked_example():

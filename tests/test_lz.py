@@ -125,6 +125,33 @@ def test_one_matcher_per_text(monkeypatch):
     assert ctx == build_suffix_context(w) and hash(ctx) == hash(build_suffix_context(w))
 
 
+def test_z_end_reuses_the_greedy_parses(monkeypatch):
+    from revsense import lz
+    from revsense.harness import sensitivity_report
+    parses = []
+    greedy_parse = lz._greedy_parse
+
+    def counted(w, ctx, longest_match, variant):
+        parses.append(variant)
+        return greedy_parse(w, ctx, longest_match, variant)
+
+    monkeypatch.setattr(lz, "_greedy_parse", counted)
+    w = Text.from_str("101000100001100010000100")
+    reports = sensitivity_report(w, ["z", "z_e", "z_end"])
+    # z and z_e parse each orientation once, and z_end's search starts from those parses
+    assert sorted(parses) == ["lz", "lz", "lz_end_greedy", "lz_end_greedy"]
+    assert [r.value_fwd for r in reports] == [len(lz_parse(w)), len(lz_end_greedy(w)),
+                                              len(lz_end_optimal(w)[0])]
+    greedy, base = lz_end_greedy(w), lz_parse(w)
+    parses.clear()
+    assert lz_end_optimal(w, greedy=greedy, base=base) == lz_end_optimal(w)
+    assert parses == ["lz_end_greedy", "lz"]            # only from the call without them
+    with pytest.raises(ValueError):
+        lz_end_optimal(w, greedy=base)
+    with pytest.raises(ValueError):
+        lz_end_optimal(w, base=greedy)
+
+
 def _source_constraints_ok(parsing, w):
     ends = set()
     for ph in parsing.phrases:

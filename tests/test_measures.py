@@ -38,6 +38,13 @@ def test_delta_matches_brute_oracle():
     for _ in range(600):
         s = random_symbols(rng, 40)
         assert substring_complexity(Text(s)) == brute_delta(s)
+        assert distinct_substring_counts(Text(s)) == [
+            len({s[i:i + k] for i in range(len(s) - k + 1)}) for k in range(1, len(s) + 1)
+        ]
+    # longer texts: the float preselection against the exact maximum over every k
+    for w in (generate(FamilySpec("fib", 20)), Text(random_symbols(rng, 5000, min_n=5000))):
+        exact = max(Fraction(c, k) for k, c in enumerate(distinct_substring_counts(w), 1))
+        assert substring_complexity(w) == exact
 
 
 def test_delta_reversal_invariant_sample():

@@ -1,17 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from revsense.suffixes import (
-    build_suffix_context,
-    cyclic_rotation_order,
-    naive_cyclic_rotation_order,
-    naive_suffix_context,
-)
+from revsense.bwt import bbwt, lyndon_starts
+from revsense.suffixes import _doubling_ranks, build_suffix_context, cyclic_rotation_order
 from revsense.text import Text
 
-from oracles import random_symbols
+from oracles import brute_bbwt, naive_cyclic_rotation_order, naive_suffix_context, random_symbols
 
 nonempty_texts = st.lists(st.integers(0, 4), min_size=1, max_size=64).map(lambda s: Text(tuple(s)))
 
@@ -57,12 +54,82 @@ def test_context_invariants(w):
         assert ctx.lcp[i] == m
 
 
+def _edge_texts(rng):
+    """Texts at the doubling kernel's edges: n in {1, 2}; sigma in
+    {1, 2, 4, 5} (so with and without the `$` of the suffix sort the
+    symbol ranks end at or just past a power of two); lengths and periods
+    around the packed key widths 31/32 and 62/63/64; sparse symbol values
+    as large as 2^40."""
+    yield from (Text(s) for s in ((0,), (7,), (0, 0), (0, 1), (1, 0), (2**40, 3)))
+    for sigma in (1, 2, 4, 5):
+        for n in (15, 16, 17, 31, 32, 33, 61, 62, 63, 64, 65, 127, 128, 129):
+            yield Text(tuple(rng.randrange(sigma) for _ in range(n)))
+            for period in (1, 2, 31, 32, 33, 63):
+                block = tuple(rng.randrange(sigma) for _ in range(period))
+                yield Text((block * (n // period + 1))[:n])
+    values = (0, 1, 2**16 - 1, 2**16, 2**16 + 1, 2**31 - 1, 2**31, 2**40)
+    for n in (1, 2, 31, 32, 63, 64):
+        yield Text(tuple(rng.choice(values) for _ in range(n)))
+
+
 def test_differential_bulk():
     rng = random.Random(97)
-    for _ in range(1500):
-        w = Text(random_symbols(rng, 64))
-        assert build_suffix_context(w) == naive_suffix_context(w)
-        assert cyclic_rotation_order(w) == naive_cyclic_rotation_order(w)
+    texts = [Text(random_symbols(rng, 64)) for _ in range(1500)]
+    for w in texts + list(_edge_texts(rng)):
+        assert build_suffix_context(w) == naive_suffix_context(w), w
+        assert cyclic_rotation_order(w) == naive_cyclic_rotation_order(w), w
+
+
+@pytest.mark.parametrize("bits", [16, 17, 31, 32, 40])
+def test_kernel_with_wide_ranks(bits):
+    """Ranks `bits` wide: two symbols still share one int64 key up to 31
+    bits, and from 32 bits on nothing is packed.  The order must equal the
+    rotation oracle on the same symbols."""
+    rng = random.Random(bits)
+    top = (1 << bits) - 1
+    for n in (1, 2, 3, 5, 17, 64):
+        s = tuple(rng.choice((0, 1, top >> 1, top - 1, top)) for _ in range(n))
+        succ = np.roll(np.arange(n), -1)
+        rank = _doubling_ranks(np.asarray(s, dtype=np.int64), succ, 2 * n)
+        order = tuple((np.argsort(rank) + 1).tolist())
+        assert order == naive_cyclic_rotation_order(Text(s)), s
+
+
+def test_alphabet_of_65537_symbols():
+    """sigma = 2^16 + 1 distinct symbols: w = P P for a shuffled
+    permutation P, whose suffix and rotation orders are known in closed
+    form (the suffix in the second copy first, LCP m - i against its twin
+    at i)."""
+    m = 2**16 + 1
+    p = list(range(m))
+    random.Random(5).shuffle(p)
+    w = Text(tuple(p) * 2)
+    by_symbol = sorted(range(m), key=p.__getitem__)
+    ctx = build_suffix_context(w)
+    assert ctx.sa == tuple(x for i in by_symbol for x in (i + m + 1, i + 1))
+    assert ctx.lcp == tuple(x for i in by_symbol for x in (0, m - i))
+    assert cyclic_rotation_order(w) == tuple(x for i in by_symbol for x in (i + 1, i + m + 1))
+
+
+def test_rotation_order_of_many_cycles():
+    """Every symbol its own cycle (starts 1..n), and Lyndon factor cycles
+    with one long factor; the orders match the oracle and, read as a
+    bijective BWT, the brute-force one."""
+    rng = random.Random(101)
+    for _ in range(200):
+        sigma = rng.choice((1, 2, 3, 5))
+        w = Text(tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 80))))
+        starts = tuple(range(1, len(w) + 1))
+        assert cyclic_rotation_order(w, starts) == naive_cyclic_rotation_order(w, starts)
+    for n in (31, 32, 63, 64, 65, 300):
+        # a unique smallest first symbol makes the factor Lyndon
+        long_factor = (0,) + tuple(rng.randrange(1, 3) for _ in range(n - 1))
+        s = (2, 1, 2) + long_factor + (0, 0)
+        w = Text(s)
+        starts = lyndon_starts(w)
+        assert max(b - a for a, b in zip(starts, starts[1:] + (len(s) + 1,))) == n
+        assert cyclic_rotation_order(w, starts) == naive_cyclic_rotation_order(w, starts)
+        assert bbwt(w).output.symbols == brute_bbwt(s)
 
 
 def test_lcp_direct_recompute_longer_strings():
