@@ -35,7 +35,7 @@ from .harness import (
 )
 from .lexparse import lex_parse
 from .lz import Parsing, Phrase, lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
-from .measures import right_extension_count, right_extensions, substring_complexity
+from .measures import right_extension_count, substring_complexity
 from .suffixes import SuffixContext, build_suffix_context, cyclic_rotation_order
 from .text import (
     RunLengthEncoding,
@@ -44,7 +44,6 @@ from .text import (
     is_lyndon,
     lyndon_factorize,
     occurrences,
-    omega_compare,
     reverse,
     rle,
     rotate,

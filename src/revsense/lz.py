@@ -23,8 +23,6 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .suffixes import SuffixContext, build_suffix_context
 from .text import Text
 
@@ -52,80 +50,54 @@ class Parsing:
         """(start, length) pairs; two parsings factorize alike iff equal."""
         return tuple((p.start, p.length) for p in self.phrases)
 
-    def boundaries(self) -> tuple[int, ...]:
-        return tuple(p.end for p in self.phrases)
-
     def phrase_texts(self, w: Text) -> list[Text]:
         return [w[p.start - 1:p.end] for p in self.phrases]
 
 
-class _SparseMin:
-    """O(1) range-minimum queries over a static integer array."""
-
-    def __init__(self, values: np.ndarray):
-        self.levels = [values]
-        j = 1
-        while (1 << j) <= len(values):
-            prev = self.levels[-1]
-            half = 1 << (j - 1)
-            self.levels.append(np.minimum(prev[:-half], prev[half:]))
-            j += 1
-
-    def query(self, lo: int, hi: int) -> int:
-        """min over inclusive index range [lo, hi]."""
-        k = (hi - lo + 1).bit_length() - 1
-        lev = self.levels[k]
-        return int(min(lev[lo], lev[hi - (1 << k) + 1]))
-
-
 class _SuffixMatcher:
-    """Longest-match machinery over a suffix context (0-based internally)."""
+    """Longest-match machinery over a suffix context (0-based internally).
+
+    psv[r] / nsv[r] is the nearest rank before / after r whose suffix
+    starts earlier, or -1; plcp[r] / nlcp[r] is the lcp of the suffixes
+    at r and that rank, or 0.  One left-to-right stack pass fills all
+    four: the stack holds ranks with increasing starts, and m is the lcp
+    of r with the rank on top.  Popping t makes r its next smaller start
+    at lcp m; the rank below t is psv[t], so m drops to min(m, plcp[t])
+    (Crochemore & Ilie, "Computing Longest Previous Factor in linear
+    time", IPL 2008).
+    """
 
     def __init__(self, ctx: SuffixContext):
         n = len(ctx)
         self.n = n
         self.isa0 = [r - 1 for r in ctx.isa]
-        self.lcp = ctx.lcp
-        self.lcp_rmq = _SparseMin(np.asarray(ctx.lcp, dtype=np.int64))
-        sa_list = [p - 1 for p in ctx.sa]
-        psv = [-1] * n
-        stack: list[int] = []
+        self.lcp = lcp = ctx.lcp
+        self.sa_list = sa = [p - 1 for p in ctx.sa]
+        self.psv = psv = [-1] * n
+        self.nsv = nsv = [-1] * n
+        self.plcp = plcp = [0] * n
+        self.nlcp = nlcp = [0] * n
+        start = sa + [-1]          # start[-1] is the sentinel's: below every start
+        stack = [-1]
         for r in range(n):
-            while stack and sa_list[stack[-1]] > sa_list[r]:
-                stack.pop()
-            psv[r] = stack[-1] if stack else -1
+            p, m = sa[r], lcp[r]
+            while start[stack[-1]] > p:
+                t = stack.pop()
+                nsv[t], nlcp[t] = r, m
+                if plcp[t] < m:
+                    m = plcp[t]
+            psv[r], plcp[r] = stack[-1], m
             stack.append(r)
-        nsv = [-1] * n
-        stack = []
-        for r in range(n - 1, -1, -1):
-            while stack and sa_list[stack[-1]] > sa_list[r]:
-                stack.pop()
-            nsv[r] = stack[-1] if stack else -1
-            stack.append(r)
-        self.psv = psv
-        self.nsv = nsv
-        self.sa_list = sa_list
-
-    def lcp_of_ranks(self, ra: int, rb: int) -> int:
-        """lcp of the suffixes ranked ra and rb (0-based ranks)."""
-        if ra == rb:
-            return self.n - self.sa_list[ra]
-        if ra > rb:
-            ra, rb = rb, ra
-        return self.lcp_rmq.query(ra + 1, rb)
 
     def longest_earlier_match(self, i0: int) -> tuple[int, int | None]:
         """Longest prefix of w[i0:] occurring at some position < i0
         (overlap with the phrase allowed); returns (length, source0)."""
         r = self.isa0[i0]
-        best, src = 0, None
-        for cand in (self.psv[r], self.nsv[r]):
-            if cand < 0:
-                continue
-            ell = self.lcp_of_ranks(cand, r)
-            if ell > best:
-                best, src = ell, self.sa_list[cand]
-        return best, src
+        if self.plcp[r] >= self.nlcp[r]:
+            ell, cand = self.plcp[r], self.psv[r]
+        else:
+            ell, cand = self.nlcp[r], self.nsv[r]
+        return (ell, self.sa_list[cand]) if ell else (0, None)
 
     def longest_nonoverlapping_match(self, i0: int) -> tuple[int, int | None]:
         """Longest prefix of w[i0:] with an occurrence inside [0, i0),
@@ -134,23 +106,24 @@ class _SuffixMatcher:
         Walks the previous- and next-smaller-value chains outward from the
         rank of i0 (Crochemore & Tischler, IPL 2011).  A rank that a chain
         skips has a lower lcp with i0 and a later start than the chain
-        rank that skips it, so it never scores higher.  A walk stops once
-        its running lcp falls below the best length, so a phrase costs
-        O(its earlier occurrences) rank steps.
+        rank that skips it, so it never scores higher.  The lcp of i0 with a
+        chain rank is the minimum of the links walked to reach it.  A walk
+        stops once its running lcp falls below the best length, so a phrase
+        costs O(its earlier occurrences) rank steps.
         """
         r = self.isa0[i0]
-        sa, query = self.sa_list, self.lcp_rmq.query
+        sa = self.sa_list
         best, src = 0, None
-        for chain, left in ((self.psv, True), (self.nsv, False)):
-            prev, x, c = r, chain[r], self.n
-            while x >= 0:
-                c = min(c, query(x + 1, prev) if left else query(prev + 1, x))
+        for chain, link in ((self.psv, self.plcp), (self.nsv, self.nlcp)):
+            x, c = r, self.n
+            while chain[x] >= 0:
+                c = min(c, link[x])
+                x = chain[x]
                 if c < best or not c:
                     break
                 v = min(c, i0 - sa[x])
                 if v > best or (v == best and sa[x] < src):
                     best, src = v, sa[x]
-                prev, x = x, chain[x]
         return best, src
 
     def longest_end_aligned_match(self, i0: int, ends: list[int]) -> tuple[int, int | None]:

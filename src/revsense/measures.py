@@ -22,7 +22,8 @@ least twice, L being the longest such suffix.  Hence
 Both m and L are read off the suffix and LCP arrays of w, as in the
 enhanced-suffix-array reading of suffix-tree nodes as LCP intervals
 (Abouelhoda, Kurtz & Ohlebusch, "Replacing suffix trees with enhanced
-suffix arrays", JDA 2004).
+suffix arrays", JDA 2004).  Only the count is computed; the set E_r is
+never enumerated, since it can hold Theta(n^2) symbols.
 """
 
 from __future__ import annotations
@@ -63,47 +64,6 @@ def substring_complexity(w: Text, ctx: SuffixContext | None = None) -> Fraction:
     ratio = counts / np.arange(1, len(counts) + 1)
     near = np.flatnonzero(ratio >= ratio.max() * (1 - 1e-9))
     return max(Fraction(int(counts[i]), int(i) + 1) for i in near)
-
-
-def right_extensions(w: Text) -> set[Text]:
-    """E_r(w), by brute force over all substring occurrences.
-
-    This is the enumerating API: it returns the extensions themselves and
-    costs O(n^2) memory and O(n^3) time.  The count `e` does not use it;
-    `right_extension_count`, the harness and the CLI read e off the
-    suffix context instead.
-
-    One pass records, per distinct substring, the set of symbols that
-    follow it and whether it ends the text; symbol sequences are kept
-    as bytes when ranks fit for hashing speed.
-    """
-    if len(w) == 0:
-        raise ValueError("right extensions require a non-empty text")
-    symbols = w.symbols
-    n = len(symbols)
-    use_bytes = max(symbols) < 256
-    s = bytes(symbols) if use_bytes else symbols
-    info: dict[object, tuple[set[int], list[bool]]] = {}
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            x = s[i:j]
-            entry = info.get(x)
-            if entry is None:
-                entry = info[x] = (set(), [False])
-            if j < n:
-                entry[0].add(symbols[j])
-            else:
-                entry[1][0] = True
-    out: set[Text] = set()
-    # the empty stem is always a suffix, hence right-maximal
-    for a in set(symbols):
-        out.add(Text((a,), w.names))
-    for x, (nexts, is_suffix) in info.items():
-        if len(nexts) >= 2 or is_suffix[0]:
-            base = tuple(x)
-            for a in nexts:
-                out.add(Text(base + (a,), w.names))
-    return out
 
 
 def right_extension_count(w: Text, ctx: SuffixContext | None = None) -> int:

@@ -144,9 +144,8 @@ def cyclic_rotation_order(w: Text, starts: Sequence[int] = (1,)) -> tuple[int, .
     prefix doubling over the successor permutation that steps to the next
     position and wraps from a cycle's last position to its first; no
     sentinel is ever appended.  Rotations x, y that agree on |x|+|y|
-    symbols agree forever (Fine and Wilf, as in omega_compare), so
-    2*(longest cycle) symbols decide the order.  Equal rotations are
-    tie-broken by start position.
+    symbols agree forever (Fine and Wilf), so 2*(longest cycle) symbols
+    decide the order.  Equal rotations are tie-broken by start position.
     """
     if len(w) == 0:
         raise ValueError("the empty text has no rotations")

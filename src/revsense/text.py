@@ -136,25 +136,6 @@ def rle(w: Text) -> RunLengthEncoding:
     return RunLengthEncoding(tuple(runs), w.names)
 
 
-def omega_compare(x: Text, y: Text) -> int:
-    """Compare the infinite powers x^w and y^w lexicographically.
-
-    Returns -1, 0 or 1.  Only the first |x|+|y| positions are examined:
-    if x^w and y^w agree that far they agree everywhere (by Fine and
-    Wilf both are then powers of a common primitive word), so the
-    bounded scan is exact and 0 means x and y share a primitive root.
-    """
-    if len(x) == 0 or len(y) == 0:
-        raise ValueError("omega order is defined for non-empty strings only")
-    xs, ys = x.symbols, y.symbols
-    nx, ny = len(xs), len(ys)
-    for t in range(nx + ny):
-        a, b = xs[t % nx], ys[t % ny]
-        if a != b:
-            return -1 if a < b else 1
-    return 0
-
-
 def is_lyndon(w: Text) -> bool:
     """True iff w is strictly smaller than all of its proper suffixes.
 

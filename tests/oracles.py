@@ -135,20 +135,28 @@ def brute_delta(s):
     )
 
 
+def omega_compare(x, y):
+    """Compare the infinite powers of the symbol tuples x and y: -1, 0 or 1.
+
+    If the powers agree on |x|+|y| symbols they agree everywhere (Fine and
+    Wilf: both are then powers of one primitive word), so 0 means x and y
+    share a primitive root.
+    """
+    if not x or not y:
+        raise ValueError("omega order is defined for non-empty strings only")
+    for t in range(len(x) + len(y)):
+        a, b = x[t % len(x)], y[t % len(y)]
+        if a != b:
+            return -1 if a < b else 1
+    return 0
+
+
 def brute_bbwt(s):
     """Bijective BWT from the definition: split s into its Lyndon factors
     (each the longest Lyndon prefix of the rest), sort every rotation of
     every factor by its infinite power, and read off the last symbols."""
     def is_lyndon(x):
         return all(x < x[i:] + x[:i] for i in range(1, len(x)))
-
-    def omega_cmp(x, y):
-        # x^w and y^w agree everywhere once they agree on |x|+|y| symbols
-        for t in range(len(x) + len(y)):
-            a, b = x[t % len(x)], y[t % len(y)]
-            if a != b:
-                return -1 if a < b else 1
-        return 0
 
     factors = []
     i = 0
@@ -157,7 +165,7 @@ def brute_bbwt(s):
         factors.append(s[i:j])
         i = j
     rotations = [f[k:] + f[:k] for f in factors for k in range(len(f))]
-    rotations.sort(key=cmp_to_key(omega_cmp))
+    rotations.sort(key=cmp_to_key(omega_compare))
     return tuple(r[-1] for r in rotations)
 
 

@@ -1,11 +1,13 @@
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from revsense.families import FamilySpec, T55, generate
-from revsense.lz import lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
+from revsense.lz import _SuffixMatcher, lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
+from revsense.suffixes import build_suffix_context
 from revsense.text import Text, reverse
 
 from oracles import (
@@ -203,6 +205,47 @@ def test_sources_match_oracle():
         w = Text(s)
         assert triples(lz_no_overlap(w)) == brute_lz_no_overlap(s), s
         assert triples(lz_end_greedy(w)) == brute_lz_end_greedy(s), s
+
+
+def test_matcher_links_match_definition():
+    rng = random.Random(15)
+    texts = [(0,), (0, 1), (1, 0), (0, 0)]
+    for k in range(1500):
+        sigma = rng.randint(1, 4)
+        n = rng.randint(1, 80)
+        if k % 3 == 0:
+            block = tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 6)))
+            texts.append((block * n)[:n])
+        else:
+            texts.append(tuple(rng.randrange(sigma) for _ in range(n)))
+    for s in texts:
+        n = len(s)
+        m = build_suffix_context(Text(s)).matcher
+        sa = m.sa_list
+        for r in range(n):
+            before = [x for x in range(r) if sa[x] < sa[r]]
+            after = [x for x in range(r + 1, n) if sa[x] < sa[r]]
+            psv = before[-1] if before else -1
+            nsv = after[0] if after else -1
+            assert (m.psv[r], m.nsv[r]) == (psv, nsv), (s, r)
+            for x, link in ((psv, m.plcp[r]), (nsv, m.nlcp[r])):
+                ell = 0
+                while x >= 0 and sa[r] + ell < n and s[sa[x] + ell] == s[sa[r] + ell]:
+                    ell += 1
+                assert link == ell, (s, r)
+
+
+def test_matcher_memory_is_linear():
+    # the matcher keeps O(n) words; an O(n log n) range-minimum table passes 40 MB here
+    rng = random.Random(16)
+    ctx = build_suffix_context(Text(tuple(rng.randrange(4) for _ in range(2 * 10**5))))
+    tracemalloc.start()
+    try:
+        _SuffixMatcher(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20, peak
 
 
 def _timed_parse(parse, w):

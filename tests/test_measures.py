@@ -9,7 +9,6 @@ from revsense.families import FamilySpec, generate
 from revsense.measures import (
     distinct_substring_counts,
     right_extension_count,
-    right_extensions,
     substring_complexity,
 )
 from revsense.suffixes import build_suffix_context
@@ -55,26 +54,19 @@ def test_delta_reversal_invariant_sample():
 
 
 def test_right_extensions_worked_examples():
+    def extensions(w):
+        return {Text(x, w.names).display() for x in brute_right_extensions(w.symbols)}
+
     w = generate(FamilySpec("unary_plus", 6))       # a b^5
-    ext = {t.display() for t in right_extensions(w)}
-    assert ext == {"a", "b", "bb", "bbb", "bbbb", "bbbbb"}
+    assert extensions(w) == {"a", "b", "bb", "bbb", "bbbb", "bbbbb"}
     assert right_extension_count(w) == 6
     wr = reverse(w)                                  # b^5 a
-    ext_r = {t.display() for t in right_extensions(wr)}
-    assert ext_r == {"a", "ba", "bba", "bbba", "bbbba",
-                     "b", "bb", "bbb", "bbbb", "bbbbb"}
+    assert extensions(wr) == {"a", "ba", "bba", "bbba", "bbbba",
+                              "b", "bb", "bbb", "bbbb", "bbbbb"}
     assert right_extension_count(wr) == 10
-    assert {t.display() for t in right_extensions(Text.from_str("ab"))} == {"a", "b"}
+    assert extensions(Text.from_str("ab")) == {"a", "b"}
     with pytest.raises(ValueError):
-        right_extensions(Text(()))
-
-
-def test_right_extensions_match_independent_oracle():
-    rng = random.Random(10)
-    for _ in range(400):
-        s = random_symbols(rng, 24)
-        got = {t.symbols for t in right_extensions(Text(s))}
-        assert got == brute_right_extensions(s)
+        right_extension_count(Text(()))
 
 
 def _e_three_ways(s):
