@@ -7,7 +7,7 @@ extremal string families, closed-form predictors, and a sweep/verify
 harness.  `python -m revsense --help` is the command-line entry.
 """
 
-from .bwt import TransformResult, bbwt, bwt, bwt_range, bwt_sentinel
+from .bwt import TransformResult, bbwt, bwt, bwt_sentinel
 from .families import (
     FAMILIES,
     FamilySpec,
@@ -43,10 +43,10 @@ from .text import (
     concat,
     is_lyndon,
     lyndon_factorize,
+    lyndon_starts,
     occurrences,
     reverse,
     rle,
-    rotate,
 )
 
 __version__ = "0.1.0"

@@ -10,12 +10,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
 from .suffixes import cyclic_rotation_order
-from .text import Text, lyndon_factorize
+from .text import Text, lyndon_starts
 from .textio import SENTINEL_NAME
 
 
@@ -26,8 +26,18 @@ class TransformResult:
     variant: str
 
 
-def _result(w: Text, pred: np.ndarray, variant: str) -> TransformResult:
-    out = np.asarray(w.symbols)[pred]
+def _cycle_transform(w: Text, starts: Sequence[int], variant: str) -> TransformResult:
+    """Last symbols of the rotations of the cycles of w (the factors that
+    begin at the 1-based `starts`) in cyclic_rotation_order, and their
+    run count.  A rotation's last symbol is the predecessor of its start
+    within its cycle."""
+    n = len(w)
+    first = np.asarray(starts) - 1
+    # 0-based predecessor within each cycle; a cycle's first position wraps to its last
+    pred = np.arange(-1, n - 1)
+    pred[first] = np.append(first[1:], n) - 1
+    order = np.asarray(cyclic_rotation_order(w, starts))
+    out = np.asarray(w.symbols)[pred[order - 1]]
     runs = 1 + int(np.count_nonzero(out[1:] != out[:-1]))
     return TransformResult(Text(tuple(out.tolist()), w.names), runs, variant)
 
@@ -36,8 +46,7 @@ def bwt(w: Text) -> TransformResult:
     """Plain BWT over the rotations of w itself (no sentinel)."""
     if len(w) == 0:
         raise ValueError("BWT requires a non-empty text")
-    order = np.asarray(cyclic_rotation_order(w))
-    return _result(w, order - 2, "plain")  # p-2 = cyclic predecessor, -1 for p=1
+    return _cycle_transform(w, (1,), "plain")
 
 
 def bwt_sentinel(w: Text) -> TransformResult:
@@ -70,40 +79,4 @@ def bbwt(w: Text) -> TransformResult:
     """
     if len(w) == 0:
         raise ValueError("BBWT requires a non-empty text")
-    starts = lyndon_starts(w)
-    first = np.asarray(starts) - 1
-    # 0-based predecessor within each factor; a factor's first position wraps to its last
-    pred = np.arange(-1, len(w) - 1)
-    pred[first] = np.append(first[1:], len(w)) - 1
-    order = np.asarray(cyclic_rotation_order(w, starts))
-    return _result(w, pred[order - 1], "bijective")
-
-
-def lyndon_starts(w: Text) -> tuple[int, ...]:
-    """1-based start positions of the Lyndon factors of w."""
-    return tuple(accumulate((len(f) for f in lyndon_factorize(w)[:-1]), initial=1))
-
-
-def bwt_range(w: Text, prefix: Text) -> Text:
-    """Slice of bwt(w) over the rotations that start with `prefix`.
-
-    Empty when no rotation matches.  The matching rows are contiguous
-    in rotation order by construction.
-    """
-    if len(w) == 0 or len(prefix) == 0:
-        raise ValueError("bwt_range requires non-empty text and prefix")
-    s = w.symbols
-    n = len(s)
-    p = prefix.symbols
-    order = cyclic_rotation_order(w)
-    out: list[int] = []
-    in_block = False
-    for start in order:
-        matches = all(s[(start - 1 + t) % n] == p[t] for t in range(min(len(p), n)))
-        matches = matches and len(p) <= n
-        if matches:
-            out.append(s[start - 2])
-            in_block = True
-        elif in_block:
-            break
-    return Text(tuple(out), w.names)
+    return _cycle_transform(w, lyndon_starts(w), "bijective")

@@ -16,11 +16,12 @@ Exit codes: 0 success, 2 usage/parameter error, 3 unknown measure,
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from bisect import bisect_right
 
 from . import textio
-from .bwt import bbwt, bwt, lyndon_starts
+from .bwt import bbwt, bwt
 from .families import FAMILIES, VERIFY_GRIDS, FamilySpec, generate
 from .harness import (
     DEFAULT_NODE_BUDGET,
@@ -33,7 +34,7 @@ from .harness import (
 from .lexparse import lex_parse
 from .lz import lz_end_greedy, lz_no_overlap, lz_parse
 from .suffixes import cyclic_rotation_order
-from .text import Text, reverse
+from .text import Text, lyndon_starts, reverse
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,13 +60,19 @@ class CliError(Exception):
 
 def _parse_range(spec: str) -> list[int]:
     parts = spec.split(":")
-    if len(parts) not in (2, 3) or not all(p.lstrip("-").isdigit() for p in parts):
+    if len(parts) not in (2, 3) or not all(re.fullmatch(r"-?[0-9]+", p) for p in parts):
         raise CliError(f"bad range {spec!r}; expected A:B or A:B:STEP")
     a, b = int(parts[0]), int(parts[1])
     step = int(parts[2]) if len(parts) == 3 else 1
     if step < 1 or b < a:
         raise CliError(f"bad range {spec!r}; need A <= B and STEP >= 1")
     return list(range(a, b + 1, step))
+
+
+def _positive_int(value: str) -> int:
+    if not re.fullmatch(r"[0-9]+", value) or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value!r}")
+    return int(value)
 
 
 def _parse_measures(spec: str) -> list[str]:
@@ -93,6 +100,9 @@ def _load_text(args: argparse.Namespace) -> Text:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
                 w = textio.load(fh.read(), args.format)
+        except UnicodeDecodeError as exc:
+            raise CliError(f"{args.input}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+                           ) from exc
         except (OSError, textio.SerializationError) as exc:
             raise CliError(str(exc)) from exc
     if getattr(args, "reverse", False):
@@ -250,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="compute measures for a text")
     _add_text_source(p)
     p.add_argument("--measures", required=True, help="comma separated measure ids")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--output", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_measure)
 
@@ -259,14 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", help="inclusive parameter range A:B or A:B:STEP")
     p.add_argument("--measures", required=True)
     p.add_argument("--csv", help="output CSV path (default: stdout)")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("verify", help="closed-form predictions vs computation")
     p.add_argument("--family", required=True, help="family id or 'all'")
     p.add_argument("--range", help="inclusive parameter range A:B or A:B:STEP")
     p.add_argument("--quick", action="store_true", help="use the reduced grid, not the full one")
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--output", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_verify)
 

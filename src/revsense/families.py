@@ -41,8 +41,6 @@ FAMILIES = BASE_FAMILIES + tuple(f + "_rev" for f in BASE_FAMILIES)
 REV_PARTNER = {f: f + "_rev" for f in BASE_FAMILIES}
 REV_PARTNER.update({v: k for k, v in REV_PARTNER.items()})
 
-PARAMLESS_FAMILIES = ("t55", "t55_rev")
-
 
 @dataclass(frozen=True)
 class FamilySpec:

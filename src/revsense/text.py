@@ -6,14 +6,14 @@ rank -> display-name table so that synthetic alphabets (a_1 < ... <
 a_s, interleaved marker symbols, ...) print readably.  All operations
 here are pure functions on immutable values.
 
-Positions reported by operations (rotation starts, occurrence starts)
+Positions reported by operations (Lyndon factor starts, occurrence starts)
 are 1-based; Python-style indexing/slicing of a Text stays 0-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +75,6 @@ class Text:
         """Text whose ranks are character ordinals, named by the characters."""
         return cls(tuple(ord(c) for c in s), {ord(c): c for c in set(s)})
 
-    @classmethod
-    def from_ranks(cls, ranks: Sequence[int], names: dict[int, str] | None = None) -> "Text":
-        return cls(tuple(ranks), names)
-
 
 def concat(*parts: Text) -> Text:
     """Concatenate texts, merging their name tables."""
@@ -95,16 +91,6 @@ def reverse(w: Text) -> Text:
     return Text(w.symbols[::-1], w.names)
 
 
-def rotate(w: Text, i: int) -> Text:
-    """Rotation starting at 1-based position i: w[i..n] w[1..i-1]."""
-    if len(w) == 0:
-        raise ValueError("cannot rotate the empty text")
-    if not 1 <= i <= len(w):
-        raise ValueError(f"rotation start {i} out of range [1, {len(w)}]")
-    s = w.symbols
-    return Text(s[i - 1:] + s[:i - 1], w.names)
-
-
 @dataclass(frozen=True)
 class RunLengthEncoding:
     """Maximal equal-symbol runs, as (symbol, count) pairs."""
@@ -114,12 +100,6 @@ class RunLengthEncoding:
 
     def __len__(self) -> int:
         return len(self.runs)
-
-    def expand(self) -> Text:
-        symbols: list[int] = []
-        for sym, cnt in self.runs:
-            symbols.extend([sym] * cnt)
-        return Text(tuple(symbols), self.names)
 
     def display(self) -> str:
         t = Text((), self.names)
@@ -136,41 +116,43 @@ def rle(w: Text) -> RunLengthEncoding:
     return RunLengthEncoding(tuple(runs), w.names)
 
 
-def is_lyndon(w: Text) -> bool:
-    """True iff w is strictly smaller than all of its proper suffixes.
+def lyndon_starts(w: Text) -> tuple[int, ...]:
+    """1-based start positions of the factors of the unique factorization
+    of w into non-increasing Lyndon words (Duval, J. Algorithms 1983).
 
-    Duval's test: the first factor of the Lyndon factorization spans w.
-    Runs in O(n) time.
+    One left-to-right pass in O(n) time; the only extra memory is the
+    returned starts.
     """
-    if len(w) == 0:
-        raise ValueError("the empty text is not eligible for the Lyndon test")
-    s = w.symbols
-    n = len(s)
-    j, k = 1, 0
-    while j < n and s[k] <= s[j]:
-        k = 0 if s[k] < s[j] else k + 1
-        j += 1
-    return j == n and k == 0
-
-
-def lyndon_factorize(w: Text) -> list[Text]:
-    """Unique factorization into non-increasing Lyndon factors (Duval)."""
     if len(w) == 0:
         raise ValueError("cannot factorize the empty text")
     s = w.symbols
     n = len(s)
-    out: list[Text] = []
+    starts: list[int] = []
     i = 0
     while i < n:
         j, k = i + 1, i
         while j < n and s[k] <= s[j]:
             k = i if s[k] < s[j] else k + 1
             j += 1
+        # s[i:j] is a power of the Lyndon word s[i:i+step] plus a proper prefix of it
         step = j - k
-        while i <= k:
-            out.append(Text(s[i:i + step], w.names))
-            i += step
-    return out
+        starts.extend(range(i + 1, k + 2, step))
+        i += ((k - i) // step + 1) * step
+    return tuple(starts)
+
+
+def lyndon_factorize(w: Text) -> list[Text]:
+    """Unique factorization into non-increasing Lyndon factors."""
+    bounds = lyndon_starts(w) + (len(w) + 1,)
+    return [w[a - 1:b - 1] for a, b in zip(bounds, bounds[1:])]
+
+
+def is_lyndon(w: Text) -> bool:
+    """True iff w is strictly smaller than all of its proper suffixes,
+    that is, iff w is its own only Lyndon factor."""
+    if len(w) == 0:
+        raise ValueError("the empty text is not eligible for the Lyndon test")
+    return lyndon_starts(w) == (1,)
 
 
 def occurrences(pattern: Text, text: Text) -> list[int]:

@@ -2,14 +2,17 @@
 
 Two formats:
 
-* ascii  -- one byte per symbol; the byte order is the symbol order.
-  "$" is forbidden (reserved for the sentinel of the end-marked BWT).
+* ascii  -- one printable ASCII character ("!" to "~") per symbol on a
+  single line; the byte order is the symbol order.  "$" is forbidden
+  (reserved for the sentinel of the end-marked BWT).
 * tokens -- line 1 is ``#alphabet name1 name2 ...`` listing display
-  names in strictly increasing symbol order, line 2 the whitespace-
-  separated token sequence.
+  names in strictly increasing symbol order, line 2 (the last line) the
+  whitespace-separated token sequence.
 """
 
 from __future__ import annotations
+
+import re
 
 from .text import Text
 
@@ -46,6 +49,11 @@ def from_ascii(data: str) -> Text:
     data = data.rstrip("\n")
     if SENTINEL_NAME in data:
         raise SerializationError('"$" is reserved for the sentinel and may not appear in input')
+    bad = re.search(r"[^!-~]", data)
+    if bad:
+        raise SerializationError(
+            f"character {bad.group()!r} is not printable ASCII; use the tokens format"
+        )
     return Text.from_str(data)
 
 
@@ -67,6 +75,11 @@ def from_tokens(data: str) -> Text:
     lines = data.splitlines()
     if not lines or not lines[0].startswith("#alphabet"):
         raise SerializationError("tokens input must start with a '#alphabet' line")
+    if len(lines) > 2:
+        raise SerializationError(
+            f"tokens input has {len(lines)} lines; expected the '#alphabet' line "
+            "and one line of tokens"
+        )
     names = lines[0].split()[1:]
     if len(set(names)) != len(names):
         raise SerializationError("alphabet names must be unique")

@@ -151,19 +151,27 @@ def omega_compare(x, y):
     return 0
 
 
-def brute_bbwt(s):
-    """Bijective BWT from the definition: split s into its Lyndon factors
-    (each the longest Lyndon prefix of the rest), sort every rotation of
-    every factor by its infinite power, and read off the last symbols."""
+def brute_lyndon_starts(s):
+    """1-based starts of the Lyndon factors of s from the definition: each
+    factor is the longest prefix of the rest that is strictly smaller than
+    all of its proper rotations."""
     def is_lyndon(x):
         return all(x < x[i:] + x[:i] for i in range(1, len(x)))
 
-    factors = []
+    starts = []
     i = 0
     while i < len(s):
-        j = max(j for j in range(i + 1, len(s) + 1) if is_lyndon(s[i:j]))
-        factors.append(s[i:j])
-        i = j
+        starts.append(i + 1)
+        i = max(j for j in range(i + 1, len(s) + 1) if is_lyndon(s[i:j]))
+    return tuple(starts)
+
+
+def brute_bbwt(s):
+    """Bijective BWT from the definition: split s into its Lyndon factors,
+    sort every rotation of every factor by its infinite power, and read
+    off the last symbols."""
+    bounds = brute_lyndon_starts(s) + (len(s) + 1,)
+    factors = [s[a - 1:b - 1] for a, b in zip(bounds, bounds[1:])]
     rotations = [f[k:] + f[:k] for f in factors for k in range(len(f))]
     rotations.sort(key=cmp_to_key(omega_compare))
     return tuple(r[-1] for r in rotations)

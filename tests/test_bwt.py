@@ -6,10 +6,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from revsense.bwt import bbwt, bwt, bwt_range, bwt_sentinel
+from revsense.bwt import bbwt, bwt, bwt_sentinel
 from revsense.families import FamilySpec, generate, predict_transform
 from revsense.suffixes import build_suffix_context
-from revsense.text import Text, is_lyndon, lyndon_factorize, reverse
+from revsense.text import Text, is_lyndon, lyndon_factorize, reverse, rle
 
 from oracles import brute_bbwt, random_symbols
 
@@ -69,6 +69,13 @@ def test_bwt_is_permutation(w):
 
 
 @given(nonempty_texts)
+def test_run_count_is_the_rle_length(w):
+    for transform in (bwt, bwt_sentinel, bbwt):
+        res = transform(w)
+        assert res.run_count == len(rle(res.output))
+
+
+@given(nonempty_texts)
 def test_bwt_matches_suffix_order_with_unique_terminal(w):
     ext = Text(tuple(r + 1 for r in w.symbols) + (0,))
     sa = build_suffix_context(ext).sa
@@ -122,28 +129,6 @@ def test_bbwt_long_lyndon_factors():
     # F_20 (6765 symbols) has a 4181-symbol Lyndon factor, its reversal one of 2584
     assert bbwt(generate(FamilySpec("fib", 20))).run_count == 19
     assert bbwt(generate(FamilySpec("fib_rev", 20))).run_count == 33
-
-
-def test_bwt_range_examples():
-    u3 = generate(FamilySpec("u_k", 3))
-    names = u3.names
-    a = Text((6,), names)   # rank of 'a' for k=3
-    b = Text((7,), names)
-    assert bwt_range(u3, a).display() == "b #_1 b #_2 b #_3"
-    assert bwt_range(u3, b).display() == "&_3 &_1 &_2"
-    u3r = generate(FamilySpec("u_k_rev", 3))
-    assert bwt_range(u3r, b).display() == "aaa"
-    assert bwt_range(u3, Text.from_str("zzz")) == Text(())
-    with pytest.raises(ValueError):
-        bwt_range(u3, Text(()))
-
-
-@given(nonempty_texts)
-def test_bwt_range_partition(w):
-    chunks = []
-    for c in sorted(set(w.symbols)):
-        chunks.extend(bwt_range(w, Text((c,))).symbols)
-    assert tuple(chunks) == bwt(w).output.symbols
 
 
 def test_empty_rejected():

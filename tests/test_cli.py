@@ -224,3 +224,39 @@ def test_console_entry_point():
 
 def test_missing_file(capsys):
     assert run_cli("measure", "--input", "/nonexistent/file", "--measures", "z") == 2
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "bin.txt"
+    path.write_bytes(b"ab\xffba\n")
+    assert run_cli("measure", "--input", str(path), "--measures", "z") == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("span", ["1:--3", "1:3-", "1:3:-+1", "1:²"])
+def test_malformed_range_exits_2(span, capsys):
+    assert run_cli("verify", "--family", "u_k", "--range", span) == 2
+    assert "bad range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["measure", "--family", "t55", "--measures", "z_end"],
+    ["sweep", "--family", "t55", "--measures", "z_end"],
+    ["verify", "--family", "u_k", "--range", "1:2"],
+])
+@pytest.mark.parametrize("budget", ["0", "-5", "x"])
+def test_node_budget_must_be_positive(command, budget, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*command, "--node-budget", budget)
+    assert exc.value.code == 2
+    assert "positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", ["#alphabet a b\na b\nb b b", "baab\naaba"])
+def test_file_the_writer_cannot_produce_exits_2(data, tmp_path, capsys):
+    path = tmp_path / "in.txt"
+    path.write_text(data)
+    for command in (["measure", "--measures", "z"], ["gen"]):
+        assert run_cli(*command, "--input", str(path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("revsense: ")

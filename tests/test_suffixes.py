@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from revsense.bwt import bbwt, lyndon_starts
+from revsense.bwt import bbwt
 from revsense.suffixes import _doubling_ranks, build_suffix_context, cyclic_rotation_order
-from revsense.text import Text
+from revsense.text import Text, lyndon_starts
 
 from oracles import brute_bbwt, naive_cyclic_rotation_order, naive_suffix_context, random_symbols
 

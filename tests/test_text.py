@@ -1,3 +1,6 @@
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -6,14 +9,14 @@ from revsense.text import (
     concat,
     is_lyndon,
     lyndon_factorize,
+    lyndon_starts,
     occurrences,
     reverse,
     rle,
-    rotate,
 )
 from revsense.families import FamilySpec, fibonacci_word, generate
 
-from oracles import omega_compare
+from oracles import brute_lyndon_starts, omega_compare
 
 texts = st.lists(st.integers(0, 4), min_size=0, max_size=60).map(lambda s: Text(tuple(s)))
 nonempty_texts = st.lists(st.integers(0, 4), min_size=1, max_size=60).map(lambda s: Text(tuple(s)))
@@ -39,21 +42,9 @@ def test_reverse_involution(w):
     assert reverse(reverse(w)) == w
 
 
-def test_rotate():
-    assert rotate(T("baabaaba"), 2) == T("aabaabab")
-    assert rotate(T("baabaaba"), 1) == T("baabaaba")
-    assert rotate(T("abc"), 3) == T("cab")
-    with pytest.raises(ValueError):
-        rotate(T("abc"), 0)
-    with pytest.raises(ValueError):
-        rotate(T("abc"), 4)
-    with pytest.raises(ValueError):
-        rotate(T(""), 1)
-
-
 def test_rle_examples():
     enc = rle(T("abbaaaab"))
-    assert [(enc.expand().name_of(s), c) for s, c in enc.runs] == [
+    assert [(chr(s), c) for s, c in enc.runs] == [
         ("a", 1), ("b", 2), ("a", 4), ("b", 1)]
     assert len(enc) == 4
     assert len(rle(T("aaaa"))) == 1
@@ -64,7 +55,7 @@ def test_rle_examples():
 
 @given(texts)
 def test_rle_round_trip(w):
-    assert rle(w).expand() == w
+    assert tuple(s for s, c in rle(w).runs for _ in range(c)) == w.symbols
 
 
 @given(texts, st.integers(1, 9), st.integers(0, 9))
@@ -137,6 +128,39 @@ def test_lyndon_factorization_sound_and_unique(w):
     assert all(is_lyndon(f) for f in factors)
     assert all(factors[i].symbols >= factors[i + 1].symbols for i in range(len(factors) - 1))
     assert lyndon_factorize(concat(*factors)) == factors
+
+
+def test_lyndon_starts_matches_oracle():
+    rng = random.Random(47)
+    cases = [(0,), (3,), (0, 0), (0, 1), (1, 0)]
+    for i in range(2000):
+        sigma = rng.randint(1, 4)
+        if i % 3 == 0:
+            # periodic: many equal factors, or one factor repeated with a tail
+            block = tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 8)))
+            s = (block * 80)[:rng.randint(1, 80)]
+        else:
+            s = tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 80)))
+        cases.append(s)
+    for s in cases:
+        assert lyndon_starts(Text(s)) == brute_lyndon_starts(s), s
+    with pytest.raises(ValueError):
+        lyndon_starts(T(""))
+
+
+def test_lyndon_starts_memory_is_linear():
+    n = 10**5
+    w = Text((0,) * n)
+    tracemalloc.start()
+    try:
+        starts = lyndon_starts(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert starts == tuple(range(1, n + 1))
+    # n factors: the returned starts alone take about 4 MB, so no object
+    # may be built per factor
+    assert peak < 8 * 2**20, peak
 
 
 @given(nonempty_texts, nonempty_texts)

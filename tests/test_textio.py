@@ -29,6 +29,14 @@ def test_ascii_rejects_multichar_names():
         to_ascii(w)
 
 
+@pytest.mark.parametrize("data", ["baab\naaba", "ab ba", "ab\tba", "ab\r\n", "caf\u00e9"])
+def test_ascii_rejects_what_it_cannot_write(data):
+    with pytest.raises(SerializationError):
+        from_ascii(data)
+    with pytest.raises(SerializationError):
+        to_ascii(Text.from_str(data.rstrip("\n")))
+
+
 def test_tokens_round_trip():
     w = generate(FamilySpec("u_k", 2))
     data = to_tokens(w)
@@ -52,6 +60,12 @@ def test_tokens_reject_unknown_token():
 def test_tokens_reject_missing_header():
     with pytest.raises(SerializationError):
         from_tokens("a b a\n")
+
+
+@pytest.mark.parametrize("data", ["#alphabet a b\na b\nb b b", "#alphabet a b\na b\n\n"])
+def test_tokens_reject_lines_after_the_body(data):
+    with pytest.raises(SerializationError):
+        from_tokens(data)
 
 
 def test_load_autodetect():
