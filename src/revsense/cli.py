@@ -90,8 +90,6 @@ def _load_text(args: argparse.Namespace) -> Text:
     if (args.family is None) == (args.input is None):
         raise CliError("exactly one of --family and --input is required")
     if args.family is not None:
-        if args.family not in FAMILIES:
-            raise CliError(f"unknown family {args.family!r}")
         try:
             w = generate(FamilySpec(args.family, args.param))
         except ValueError as exc:
@@ -136,7 +134,10 @@ def cmd_measure(args: argparse.Namespace) -> int:
     runner = _MeasureRunner(w, args.node_budget)
     lines = []
     for m in measures:
-        value, exact = runner.value(m)
+        try:
+            value, exact = runner.value(m)
+        except ValueError as exc:
+            raise CliError(str(exc)) from exc
         suffix = "" if exact else " exact=false"
         lines.append(f"{m}={value}{suffix}")
     _emit("\n".join(lines) + "\n", args.output)
@@ -145,8 +146,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     measures = _parse_measures(args.measures)
-    if args.family not in FAMILIES:
-        raise CliError(f"unknown family {args.family!r}")
     params = _parse_range(args.range) if args.range else [None]
     try:
         rows = sweep(args.family, params, measures, args.node_budget)

@@ -27,37 +27,11 @@ reversal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .text import Text, concat, is_lyndon, occurrences, reverse
 
 T55 = "abaaababaabababbabaaababaaababaaababaabababaabababababa"
-
-BASE_FAMILIES = (
-    "u_k", "T_p", "w_sigma", "fib", "central", "fib_plus", "c_fib", "unary_plus", "t55",
-)
-FAMILIES = BASE_FAMILIES + tuple(f + "_rev" for f in BASE_FAMILIES)
-# spell the documented reversed ids explicitly (c_fib_rev etc. are primary names)
-REV_PARTNER = {f: f + "_rev" for f in BASE_FAMILIES}
-REV_PARTNER.update({v: k for k, v in REV_PARTNER.items()})
-
-
-@dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    param: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-
-    @property
-    def base_family(self) -> str:
-        return self.family[:-4] if self.family.endswith("_rev") else self.family
-
-    @property
-    def reversed_orientation(self) -> bool:
-        return self.family.endswith("_rev")
 
 
 @dataclass(frozen=True)
@@ -81,8 +55,6 @@ def _u_k_names(k: int) -> dict[int, str]:
 
 
 def _gen_u_k(k: int) -> Text:
-    if k < 1:
-        raise ValueError(f"u_k parameter must be >= 1, got {k}")
     a, b = 2 * k, 2 * k + 1
     symbols: list[int] = []
     for i in range(1, k + 1):
@@ -119,8 +91,6 @@ def b_staircase(p: int) -> Text:
 
 
 def _gen_t_p(p: int) -> Text:
-    if p < 1:
-        raise ValueError(f"T_p parameter must be >= 1, got {p}")
     alpha = a_staircase(p).symbols
     beta = b_staircase(p).symbols
     m = p * (p + 1) // 2
@@ -132,8 +102,6 @@ def _gen_t_p(p: int) -> Text:
 
 
 def _gen_w_sigma(sigma: int) -> Text:
-    if sigma < 2 or sigma % 2:
-        raise ValueError(f"w_sigma parameter sigma must be even and >= 2, got {sigma}")
     names = {i - 1: f"a_{i}" for i in range(1, sigma + 1)}
     symbols: list[int] = []
     for i in range(1, sigma):
@@ -165,8 +133,6 @@ def central_word(k: int) -> Text:
 
 
 def _gen_fib_plus(k: int) -> Text:
-    if k < 2:
-        raise ValueError(f"fib_plus index must be >= 2, got {k}")
     return Text(fibonacci_word(k).symbols + (0,), _FIB_NAMES)
 
 
@@ -174,60 +140,67 @@ _C_FIB_NAMES = {0: "a", 1: "b", 2: "c"}
 
 
 def _gen_c_fib(k: int) -> Text:
-    if k < 3:
-        raise ValueError(f"c_fib index must be >= 3, got {k}")
     return Text((2,) + fibonacci_word(k).symbols, _C_FIB_NAMES)
 
 
 def _gen_unary_plus(n: int) -> Text:
-    if n < 2:
-        raise ValueError(f"unary_plus length must be >= 2, got {n}")
     return Text((0,) + (1,) * (n - 1), {0: "a", 1: "b"})
 
 
-def _gen_t55(_param: None = None) -> Text:
-    return Text.from_str(T55)
+# ---------------------------------------------------------------------------
+# family ids and specs
 
-
-_GENERATORS = {
-    "u_k": _gen_u_k,
-    "T_p": _gen_t_p,
-    "w_sigma": _gen_w_sigma,
-    "fib": fibonacci_word,
-    "central": central_word,
-    "fib_plus": _gen_fib_plus,
-    "c_fib": _gen_c_fib,
-    "unary_plus": _gen_unary_plus,
+# base id -> (generator, smallest parameter or None for a fixed string)
+_BASES: dict[str, tuple[Callable[..., Text], int | None]] = {
+    "u_k": (_gen_u_k, 1),
+    "T_p": (_gen_t_p, 1),
+    "w_sigma": (_gen_w_sigma, 2),
+    "fib": (fibonacci_word, 1),
+    "central": (central_word, 4),  # C_3 is the empty word
+    "fib_plus": (_gen_fib_plus, 2),
+    "c_fib": (_gen_c_fib, 3),
+    "unary_plus": (_gen_unary_plus, 2),
+    "t55": (lambda _p: Text.from_str(T55), None),
 }
+BASE_FAMILIES = tuple(_BASES)
+FAMILIES = BASE_FAMILIES + tuple(f + "_rev" for f in BASE_FAMILIES)
+REV_PARTNER = {f: f + "_rev" for f in BASE_FAMILIES}
+REV_PARTNER.update({v: k for k, v in REV_PARTNER.items()})
 
-_MIN_PARAM = {
-    "u_k": 1, "T_p": 1, "w_sigma": 2, "fib": 1, "central": 3,
-    "fib_plus": 2, "c_fib": 3, "unary_plus": 2,
-}
 
+@dataclass(frozen=True)
+class FamilySpec:
+    """A family id and a parameter that satisfies the family invariants."""
 
-def validate_param(spec: FamilySpec) -> None:
-    """Raise ValueError unless the parameter satisfies the family invariants."""
-    base = spec.base_family
-    if base == "t55":
-        if spec.param is not None:
-            raise ValueError("t55 takes no parameter")
-        return
-    if spec.param is None:
-        raise ValueError(f"family {spec.family} requires a parameter")
-    if spec.param < _MIN_PARAM[base]:
-        raise ValueError(
-            f"{spec.family} parameter must be >= {_MIN_PARAM[base]}, got {spec.param}"
-        )
-    if base == "w_sigma" and spec.param % 2:
-        raise ValueError(f"w_sigma parameter sigma must be even, got {spec.param}")
+    family: str
+    param: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.family not in FAMILIES:
+            raise ValueError(f"unknown family {self.family!r}")
+        smallest = _BASES[self.base_family][1]
+        if smallest is None:
+            if self.param is not None:
+                raise ValueError(f"{self.base_family} takes no parameter")
+        elif self.param is None:
+            raise ValueError(f"family {self.family} requires a parameter")
+        elif self.param < smallest:
+            raise ValueError(f"{self.family} parameter must be >= {smallest}, got {self.param}")
+        elif self.base_family == "w_sigma" and self.param % 2:
+            raise ValueError(f"w_sigma parameter sigma must be even, got {self.param}")
+
+    @property
+    def base_family(self) -> str:
+        return self.family[:-4] if self.family.endswith("_rev") else self.family
+
+    @property
+    def reversed_orientation(self) -> bool:
+        return self.family.endswith("_rev")
 
 
 def generate(spec: FamilySpec) -> Text:
     """Construct the family string; reversed ids reverse the base string."""
-    validate_param(spec)
-    base = spec.base_family
-    w = _gen_t55() if base == "t55" else _GENERATORS[base](spec.param)
+    w = _BASES[spec.base_family][0](spec.param)
     return reverse(w) if spec.reversed_orientation else w
 
 
@@ -281,10 +254,10 @@ _PREDICTORS: dict[str, dict[str, tuple]] = {
         "e": (_always, lambda n: 2 * (n - 1), "e = 2(n - 1)"),
     },
     "t55": {
-        "z": (lambda _p: True, lambda _p: 14, "z = 14"),
+        "z": (_always, lambda _p: 14, "z = 14"),
     },
     "t55_rev": {
-        "z": (lambda _p: True, lambda _p: 6, "z = 6"),
+        "z": (_always, lambda _p: 6, "z = 6"),
     },
 }
 
@@ -309,7 +282,6 @@ VERIFY_GRIDS: dict[str, tuple[Sequence[int | None], Sequence[int | None]]] = {
 
 def predict(spec: FamilySpec, measure: str) -> Prediction | None:
     """Closed-form value of a measure on this family member, if known."""
-    validate_param(spec)
     table = _PREDICTORS.get(spec.family)
     if not table or measure not in table:
         return None
@@ -340,8 +312,6 @@ def predict_transform(spec: FamilySpec, variant: str) -> Text:
     if variant not in ("plain", "bijective"):
         raise ValueError(f"unknown transform variant {variant!r}")
     k = spec.param
-    if k is None or k < 1:
-        raise ValueError(f"u_k parameter must be >= 1, got {k}")
     a, b = 2 * k, 2 * k + 1
     hsh = [2 * (i - 1) for i in range(1, k + 1)]
     amp = [2 * i - 1 for i in range(1, k + 1)]

@@ -155,9 +155,9 @@ def sweep(
     by the reversed partner's rows (derived, not recomputed)."""
     base_rows: list[SweepRow] = []
     partner_rows: list[SweepRow] = []
-    partner = REV_PARTNER[family]
     for param in params:
         spec = FamilySpec(family, param)
+        partner = REV_PARTNER[spec.family]
         w = generate(spec)
         for rep in sensitivity_report(w, measures, node_budget):
             base_rows.append(SweepRow(family, param, len(w), **vars(rep)))

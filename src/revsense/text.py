@@ -24,7 +24,7 @@ class Text:
     names: dict[int, str] | None = None
 
     def __post_init__(self) -> None:
-        if any(r < 0 for r in self.symbols):
+        if self.symbols and min(self.symbols) < 0:
             raise ValueError("symbol ranks must be non-negative")
         if self.names is not None:
             vals = list(self.names.values())

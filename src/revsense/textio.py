@@ -73,7 +73,7 @@ def to_tokens(w: Text) -> str:
 
 def from_tokens(data: str) -> Text:
     lines = data.splitlines()
-    if not lines or not lines[0].startswith("#alphabet"):
+    if not lines or not re.match(r"#alphabet(\s|$)", lines[0]):
         raise SerializationError("tokens input must start with a '#alphabet' line")
     if len(lines) > 2:
         raise SerializationError(

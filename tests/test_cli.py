@@ -260,3 +260,12 @@ def test_file_the_writer_cannot_produce_exits_2(data, tmp_path, capsys):
         assert run_cli(*command, "--input", str(path)) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("revsense: ")
+
+
+def test_measure_value_error_exits_2(tmp_path, capsys):
+    path = tmp_path / "sentinel.tok"
+    path.write_text("#alphabet $ a\n$ a a $\n")
+    assert run_cli("measure", "--input", str(path), "--measures", "r_dollar") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "revsense: input already contains the sentinel symbol\n"

@@ -16,7 +16,6 @@ from revsense.families import (
     predict_transform,
     predictions,
     transform_predictions,
-    validate_param,
 )
 from revsense.lz import lz_parse
 from revsense.text import concat, reverse
@@ -90,7 +89,25 @@ def test_parameter_validation():
     with pytest.raises(ValueError):
         FamilySpec("no_such_family", 1)
     with pytest.raises(ValueError):
-        validate_param(FamilySpec("w_sigma", 5))
+        FamilySpec("w_sigma", 5)
+
+
+_SMALLEST = {"u_k": 1, "T_p": 1, "w_sigma": 2, "fib": 1, "central": 4,
+             "fib_plus": 2, "c_fib": 3, "unary_plus": 2, "t55": None}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_spec_checks_its_parameter_when_built(family):
+    smallest = _SMALLEST[family.removesuffix("_rev")]
+    with pytest.raises(ValueError):
+        FamilySpec(family, 1 if smallest is None else smallest - 1)
+    assert len(generate(FamilySpec(family, smallest))) > 0
+
+
+def test_sweep_rejects_an_unknown_family():
+    from revsense.harness import sweep
+    with pytest.raises(ValueError, match="unknown family 'nope'"):
+        sweep("nope", [1], ["z"])
 
 
 def test_fibonacci_words():

@@ -62,6 +62,12 @@ def test_tokens_reject_missing_header():
         from_tokens("a b a\n")
 
 
+@pytest.mark.parametrize("data", ["#alphabetb a\na a\n", " #alphabet a\na\n", "#alphabet_ a\na\n"])
+def test_tokens_header_field_must_be_exactly_alphabet(data):
+    with pytest.raises(SerializationError, match="'#alphabet' line"):
+        from_tokens(data)
+
+
 @pytest.mark.parametrize("data", ["#alphabet a b\na b\nb b b", "#alphabet a b\na b\n\n"])
 def test_tokens_reject_lines_after_the_body(data):
     with pytest.raises(SerializationError):
