@@ -112,8 +112,11 @@ def _load_text(args: argparse.Namespace) -> Text:
 
 def _emit(payload: str, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            raise CliError(f"{output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(payload)
 

@@ -1,7 +1,11 @@
 """Suffix array / inverse / LCP construction and cyclic rotation ranking.
 
 Both orders come from one numpy prefix-doubling kernel (O(n log n)); the
-suffix order of w is the rotation order of w$.
+suffix order of w is the rotation order of w$.  The LCP array is read off
+the same kernel's rounds, as Manber & Myers (SIAM J. Comput. 1993) do:
+each round's ids tell which 2^j-symbol prefixes are equal, so a binary
+lift over them gives every adjacent LCP at once, with no walk over the
+text.  Ranks are int32, so a text holds fewer than 2^31 symbols.
 
 Arrays use 1-based position values (sa[i] is the 1-based start of the
 (i+1)-th smallest suffix) stored in ordinary 0-indexed tuples.
@@ -10,8 +14,9 @@ Arrays use 1-based position values (sa[i] is the 1-based start of the
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +30,10 @@ class SuffixContext:
     Invariants: isa[sa[i]-1] == i+1; lcp[0] == 0; lcp[i] is the length
     of the longest common prefix of the suffixes starting at sa[i-1]
     and sa[i].
+
+    Memory: the build keeps one id array per doubling round until the
+    LCP is read, O(n log L) words for the longest LCP L.  The packed
+    rounds' keys are int64 and the sort rounds' ranks int32.
     """
 
     sa: tuple[int, ...]
@@ -44,16 +53,16 @@ class SuffixContext:
 
 
 def _initial_ranks(symbols: tuple[int, ...]) -> np.ndarray:
-    a = np.asarray(symbols, dtype=np.int64)
-    return np.unique(a, return_inverse=True)[1].astype(np.int64)
+    alphabet = np.array(sorted(set(symbols)), dtype=np.int64)
+    return np.searchsorted(alphabet, np.asarray(symbols, dtype=np.int64))
 
 
 def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Ranks 0, 1, ... of the keys in sorted order (equal keys share a
-    rank), and whether they are all distinct."""
+    """int32 ranks 0, 1, ... of the keys in sorted order (equal keys share
+    a rank), and whether they are all distinct."""
     order = np.argsort(key)
     sk = key[order]
-    csum = np.zeros(len(key), dtype=np.int64)
+    csum = np.zeros(len(key), dtype=np.int32)
     np.cumsum(sk[1:] != sk[:-1], out=csum[1:])
     rank = np.empty_like(csum)
     rank[order] = csum
@@ -64,6 +73,33 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm))
     return inv
+
+
+def _doubling_rounds(rank: np.ndarray, succ: np.ndarray, limit: int) -> Iterator[np.ndarray]:
+    """`_doubling_ranks` round by round.
+
+    Yields the ids of round j = 0, 1, ... before each doubling: two
+    positions get equal ids exactly when they read the same 2^j symbols
+    along `succ`.  Yields the final ranks last; when the reads became
+    distinct, they are the ids of the round after the last one yielded.
+    """
+    n = len(rank)
+    bits = max(1, int(rank.max()).bit_length())
+    key, k = rank, 1
+    while k < limit and 2 * k * bits <= 62:
+        yield key
+        key = (key << (k * bits)) | key[succ]
+        succ = succ[succ]
+        k *= 2
+    rank, distinct = _dense_ranks(key)
+    while not distinct and k < limit:
+        yield rank
+        rank, distinct = _dense_ranks(np.multiply(rank, n, dtype=np.int64) + rank[succ])
+        succ = succ[succ]
+        k *= 2
+    if not distinct:
+        rank, _ = _dense_ranks(np.multiply(rank, n, dtype=np.int64) + np.arange(n))
+    yield rank
 
 
 def _doubling_ranks(rank: np.ndarray, succ: np.ndarray, limit: int) -> np.ndarray:
@@ -78,61 +114,43 @@ def _doubling_ranks(rank: np.ndarray, succ: np.ndarray, limit: int) -> np.ndarra
     no sort; each later round sorts the single key rank * n + rank[succ]
     (Manber & Myers, SIAM J. Comput. 1993).
     """
-    n = len(rank)
-    bits = max(1, int(rank.max()).bit_length())
-    key, k = rank, 1
-    while k < limit and 2 * k * bits <= 62:
-        key = (key << (k * bits)) | key[succ]
-        succ = succ[succ]
-        k *= 2
-    rank, distinct = _dense_ranks(key)
-    while not distinct and k < limit:
-        rank, distinct = _dense_ranks(rank * n + rank[succ])
-        succ = succ[succ]
-        k *= 2
-    if not distinct:
-        rank, _ = _dense_ranks(rank * n + np.arange(n))
+    for rank in _doubling_rounds(rank, succ, limit):
+        pass
     return rank
 
 
-def _suffix_sort(symbols: tuple[int, ...]) -> np.ndarray:
-    """0-based suffix array; a shorter suffix precedes a longer one it
-    prefixes.  This is the rotation order of w$, `$` being a unique
-    smallest symbol, so it ranks the cycle of w$ and drops the `$`."""
+def _suffix_sort(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """0-based suffix array and LCP array; a shorter suffix precedes a
+    longer one it prefixes.  This is the rotation order of w$, `$` being
+    a unique smallest symbol, so it ranks the cycle of w$ and drops the
+    `$`.
+
+    The LCP comes from the rounds' ids (Manber & Myers): the final round
+    makes every 2^J-symbol read distinct, so each adjacent pair (a, b)
+    has LCP < 2^J, and h grows by 2^j wherever round j's ids at a + h and
+    b + h agree, from j = J - 1 down.  Equal reads cannot hold the unique
+    `$`, so a + h and b + h never pass it.
+    """
     n = len(symbols)
     rank = np.append(_initial_ranks(symbols) + 1, 0)
     succ = np.arange(1, n + 2, dtype=np.int64)
     succ[n] = 0
-    return _inverse(_doubling_ranks(rank, succ, n + 1))[1:]
-
-
-def _kasai_lcp(symbols: tuple[int, ...], sa0: np.ndarray, isa0: np.ndarray) -> list[int]:
-    n = len(symbols)
-    lcp = [0] * n
-    sa_list = sa0.tolist()
-    isa_list = isa0.tolist()
-    k = 0
-    for i in range(n):
-        r = isa_list[i]
-        if r == 0:
-            k = 0
-            continue
-        j = sa_list[r - 1]
-        while i + k < n and j + k < n and symbols[i + k] == symbols[j + k]:
-            k += 1
-        lcp[r] = k
-        if k:
-            k -= 1
-    return lcp
+    levels = list(_doubling_rounds(rank, succ, n + 1))
+    sa = _inverse(levels.pop())[1:]
+    lcp = np.zeros(n, dtype=np.int64)
+    a, b, h = sa[:-1], sa[1:], lcp[1:]
+    while levels:
+        ids = levels.pop()
+        h += (ids[a + h] == ids[b + h]) << len(levels)
+    return sa, lcp
 
 
 def build_suffix_context(w: Text) -> SuffixContext:
     if len(w) == 0:
         raise ValueError("suffix structures require a non-empty text")
-    sa0 = _suffix_sort(w.symbols)
-    isa0 = _inverse(sa0)
-    lcp = _kasai_lcp(w.symbols, sa0, isa0)
-    return SuffixContext(tuple((sa0 + 1).tolist()), tuple((isa0 + 1).tolist()), tuple(lcp))
+    sa0, lcp = _suffix_sort(w.symbols)
+    return SuffixContext(tuple((sa0 + 1).tolist()), tuple((_inverse(sa0) + 1).tolist()),
+                         tuple(lcp.tolist()))
 
 
 def cyclic_rotation_order(w: Text, starts: Sequence[int] = (1,)) -> tuple[int, ...]:
@@ -150,12 +168,12 @@ def cyclic_rotation_order(w: Text, starts: Sequence[int] = (1,)) -> tuple[int, .
     if len(w) == 0:
         raise ValueError("the empty text has no rotations")
     n = len(w)
-    first = np.asarray(starts, dtype=np.int64) - 1
-    if len(first) == 0 or first[0] != 0 or first[-1] >= n or np.any(np.diff(first) <= 0):
+    if (len(starts) == 0 or starts[0] != 1 or starts[-1] > n
+            or not all(map(operator.lt, starts, starts[1:]))):
         raise ValueError(f"cycle starts must begin at 1 and increase strictly within [1, {n}]")
-    ends = np.append(first[1:], n)
+    ends = (*starts[1:], n + 1)
     succ = np.arange(1, n + 1, dtype=np.int64)
-    succ[ends - 1] = first
-    longest = int((ends - first).max())
+    succ[np.asarray(ends, dtype=np.int64) - 2] = np.asarray(starts, dtype=np.int64) - 1
+    longest = max(map(operator.sub, ends, starts))
     order = _inverse(_doubling_ranks(_initial_ranks(w.symbols), succ, 2 * longest))
     return tuple((order + 1).tolist())

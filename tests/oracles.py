@@ -247,3 +247,27 @@ def naive_cyclic_rotation_order(w, starts=(1,)):
             rot = f[k:] + f[:k]
             keys.append(((rot * (cut // len(rot) + 1))[:cut], a + k))
     return tuple(p for _, p in sorted(keys))
+
+
+def kasai_lcp(s, sa):
+    """LCP array of the symbols `s` from their 1-based suffix array `sa`,
+    by Kasai et al. (CPM 2001): walk the text in position order, carrying
+    the common prefix minus one into the next suffix."""
+    n = len(s)
+    rank = [0] * n
+    for r, p in enumerate(sa):
+        rank[p - 1] = r
+    lcp = [0] * n
+    k = 0
+    for i in range(n):
+        r = rank[i]
+        if r == 0:
+            k = 0
+            continue
+        j = sa[r - 1] - 1
+        while i + k < n and j + k < n and s[i + k] == s[j + k]:
+            k += 1
+        lcp[r] = k
+        if k:
+            k -= 1
+    return tuple(lcp)

@@ -1,3 +1,5 @@
+import errno
+import os
 import subprocess
 import sys
 
@@ -269,3 +271,22 @@ def test_measure_value_error_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "revsense: input already contains the sentinel symbol\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--family", "fib", "--param", "5", "--output"],
+    ["measure", "--family", "fib", "--param", "5", "--measures", "z", "--output"],
+    ["sweep", "--family", "fib", "--range", "3:4", "--measures", "z", "--csv"],
+    ["verify", "--family", "u_k", "--range", "1:2", "--output"],
+    ["show", "--family", "fib", "--param", "5", "--view", "bwt", "--output"],
+])
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_output_exits_2(command, target, tmp_path, capsys):
+    if target == "missing_dir":
+        path, code = tmp_path / "missing" / "out.txt", errno.ENOENT
+    else:
+        path, code = tmp_path, errno.EISDIR
+    assert run_cli(*command, str(path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"revsense: {path}: {os.strerror(code)}\n"

@@ -1,14 +1,22 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from revsense.bwt import bbwt
+from revsense.families import fibonacci_word
 from revsense.suffixes import _doubling_ranks, build_suffix_context, cyclic_rotation_order
 from revsense.text import Text, lyndon_starts
 
-from oracles import brute_bbwt, naive_cyclic_rotation_order, naive_suffix_context, random_symbols
+from oracles import (
+    brute_bbwt,
+    kasai_lcp,
+    naive_cyclic_rotation_order,
+    naive_suffix_context,
+    random_symbols,
+)
 
 nonempty_texts = st.lists(st.integers(0, 4), min_size=1, max_size=64).map(lambda s: Text(tuple(s)))
 
@@ -144,6 +152,71 @@ def test_lcp_direct_recompute_longer_strings():
             while m < len(a) and m < len(b) and a[m] == b[m]:
                 m += 1
             assert ctx.lcp[i] == m
+
+
+def _mutated_repeat(rng, n, block, rate):
+    base = [rng.randrange(4) for _ in range(block)] * (n // block)
+    return tuple((c + rng.randrange(1, 4)) % 4 if rng.random() < rate else c for c in base)
+
+
+def _checked_lcp(w):
+    """The context's LCP, after checking it against Kasai on the context's
+    suffix array, and that array's order at each first mismatch."""
+    s, n = w.symbols, len(w)
+    ctx = build_suffix_context(w)
+    assert ctx.lcp == kasai_lcp(s, ctx.sa)
+    for i in range(1, n):
+        a, b, m = ctx.sa[i - 1] - 1, ctx.sa[i] - 1, ctx.lcp[i]
+        assert a + m == n or (b + m < n and s[a + m] < s[b + m])
+    return ctx.lcp
+
+
+def test_lcp_against_kasai_on_long_texts():
+    rng = random.Random(102)
+    texts = [
+        tuple(rng.randrange(4) for _ in range(10**5)),
+        fibonacci_word(25).symbols,
+        (0, 1) * 5000,
+        _mutated_repeat(rng, 10**5, 1000, 0.001),
+    ]
+    for s in texts:
+        _checked_lcp(Text(s))
+
+
+def test_unary_lcp_is_a_staircase():
+    # the suffixes of a^n sort shortest first, each a prefix of the next
+    for n in range(1, 131):
+        assert build_suffix_context(Text((0,) * n)).lcp == tuple(range(n))
+
+
+def test_lcp_at_powers_of_two():
+    """A block of length L written twice, with different symbols after the
+    copies, for L = 2^j - 1, 2^j, 2^j + 1: LCPs of L and around it sit on
+    either side of a round's width, in the packed rounds (up to 32 symbols
+    for sigma = 1) and in the sort rounds after them."""
+    rng = random.Random(103)
+    for sigma in (1, 2, 4, 5):
+        for j in range(1, 8):
+            for length in (2**j - 1, 2**j, 2**j + 1):
+                block = tuple(rng.randrange(sigma) for _ in range(length))
+                tail = tuple(rng.randrange(sigma + 2) for _ in range(rng.randrange(8)))
+                lcp = _checked_lcp(Text(block + (sigma,) + block + (sigma + 1,) + tail))
+                assert max(lcp) >= length
+
+
+@pytest.mark.parametrize("text", ["unary", "random"])
+def test_suffix_context_memory_is_bounded(text):
+    # the build keeps one id array per doubling round: O(n log L) words
+    n = 2 * 10**5
+    rng = random.Random(104)
+    w = Text((0,) * n if text == "unary" else tuple(rng.randrange(4) for _ in range(n)))
+    tracemalloc.start()
+    try:
+        build_suffix_context(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (48 if text == "unary" else 32) * 2**20, peak
 
 
 def test_rotation_order_examples():
