@@ -10,7 +10,12 @@ character.  The variants differ only in which sources qualify:
                     overlap the phrase).
 * lz_no_overlap  -- source lies entirely before the phrase.
 * lz_end_greedy  -- source ends exactly at the end of a previously
-                    produced phrase.
+                    produced phrase.  Such a source of length l ends at
+                    e when w[:e] and w[:i0+l] share a suffix of length
+                    l, so it is found in the suffix order of reverse(w)
+                    next to the rank of w[:i0+l]; a phrase checks the
+                    lengths L, L-1, ... down to the first that has one,
+                    L - l + 1 checks for L = min(LPF(i0), i0).
 * lz_end_optimal -- minimum number of phrases over all parsings whose
                     sources end at earlier boundaries of that same
                     parsing; greedy end-aligned parsing is not optimal
@@ -23,7 +28,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .suffixes import SuffixContext, build_suffix_context
+from .suffixes import SuffixContext, build_suffix_context, reverse_prefix_order
 from .text import Text
 
 
@@ -71,7 +76,7 @@ class _SuffixMatcher:
         n = len(ctx)
         self.n = n
         self.isa0 = [r - 1 for r in ctx.isa]
-        self.lcp = lcp = ctx.lcp
+        lcp = ctx.lcp
         self.sa_list = sa = [p - 1 for p in ctx.sa]
         self.psv = psv = [-1] * n
         self.nsv = nsv = [-1] * n
@@ -117,42 +122,16 @@ class _SuffixMatcher:
         for chain, link in ((self.psv, self.plcp), (self.nsv, self.nlcp)):
             x, c = r, self.n
             while chain[x] >= 0:
-                c = min(c, link[x])
+                if link[x] < c:
+                    c = link[x]
                 x = chain[x]
                 if c < best or not c:
                     break
-                v = min(c, i0 - sa[x])
+                v = i0 - sa[x]
+                if c < v:
+                    v = c
                 if v > best or (v == best and sa[x] < src):
                     best, src = v, sa[x]
-        return best, src
-
-    def longest_end_aligned_match(self, i0: int, ends: list[int]) -> tuple[int, int | None]:
-        """Longest prefix of w[i0:] with an occurrence that starts before
-        i0 and ends at one of `ends` (sorted 1-based phrase ends, all
-        <= i0), leftmost source on ties.
-
-        Lengths that qualify are not downward closed, so every rank on
-        both sides of the rank of i0 is visited while the running lcp
-        minimum c can still reach the best length; a source p gets the
-        largest end in (p, min(p + c, i0)].
-        """
-        n, r = self.n, self.isa0[i0]
-        sa, lcp = self.sa_list, self.lcp
-        best, src = 0, None
-        for step in (-1, 1):
-            x, c = r + step, n
-            while 0 <= x < n:
-                c = min(c, lcp[x + 1] if step < 0 else lcp[x])
-                if c < best or not c:
-                    break
-                p = sa[x]
-                if p < i0:
-                    k = bisect_right(ends, min(p + c, i0)) - 1
-                    if k >= 0 and ends[k] > p:
-                        ell = ends[k] - p
-                        if ell > best or (ell == best and p < src):
-                            best, src = ell, p
-                x += step
         return best, src
 
 
@@ -235,19 +214,55 @@ def _end_aligned_candidates(
 def lz_end_greedy(w: Text, ctx: SuffixContext | None = None) -> Parsing:
     """Greedy end-aligned LZ; phrase count = z_e(w).
 
-    Feasible lengths at a position are not downward closed (an
-    occurrence ending at a boundary says nothing about its shorter
-    prefixes), so the maximum is taken over all (source, boundary)
-    combinations by `_SuffixMatcher.longest_end_aligned_match`.
+    A source of length l for the phrase at i0 ends at an earlier phrase
+    end e exactly when w[e-l:e] == w[i0:i0+l], that is, when the
+    prefixes w[:e] and w[:i0+l] share a suffix of length l.  In the
+    suffix order of reverse(w) (`reverse_prefix_order`) the ends that
+    pass form one run of ranks around the rank of w[:i0+l], so each l
+    is checked by stepping outward from that rank through the marked
+    ends while they still pass.  Feasible lengths are not downward
+    closed, so l runs down from L = min(LPF(i0), i0), the longest
+    earlier match bounding any source, and the first l that passes wins:
+    a phrase costs L - l + 1 checks.  The smallest passing end keeps the
+    leftmost source.
     """
-    ends: list[int] = []   # 1-based ends of the phrases produced so far
+    # a byte of `marked` is 1 at the rank of a phrase end, so finding the
+    # next one either way is a byte search in C, and marking one is a store
+    order, prefix, buf = reverse_prefix_order(w)
+    marked = bytearray(len(order))
+    rfind, find = marked.rfind, marked.find
 
     def longest_match(matcher: _SuffixMatcher, i0: int) -> tuple[int, int | None]:
         # the greedy loop asks once per phrase start, in order, and every
         # start after the first ends the phrase before it
         if i0:
-            ends.append(i0)
-        return matcher.longest_end_aligned_match(i0, ends)
+            marked[order[i0]] = 1
+        ell = min(matcher.longest_earlier_match(i0)[0], i0)
+        while ell:
+            # an end e < ell cannot pass; it is tested before slicing from e - ell
+            pat = buf[4 * i0:4 * (i0 + ell)]
+            q = order[i0 + ell]
+            best = i0 + 1
+            r = rfind(1, 0, q)
+            while r >= 0:
+                e = prefix[r]
+                if e < ell or buf[4 * (e - ell):4 * e] != pat:
+                    break
+                if e < best:
+                    best = e
+                r = rfind(1, 0, r)
+            r = find(1, q)
+            while r >= 0:
+                e = prefix[r]
+                if e < ell or buf[4 * (e - ell):4 * e] != pat:
+                    break
+                if e < best:
+                    best = e
+                r = find(1, r + 1)
+            if best <= i0:
+                return ell, best - ell
+            ell -= 1
+        return 0, None
 
     return _greedy_parse(w, ctx, longest_match, "lz_end_greedy")
 

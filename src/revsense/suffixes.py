@@ -53,8 +53,10 @@ class SuffixContext:
 
 
 def _initial_ranks(symbols: tuple[int, ...]) -> np.ndarray:
-    alphabet = np.array(sorted(set(symbols)), dtype=np.int64)
-    return np.searchsorted(alphabet, np.asarray(symbols, dtype=np.int64))
+    alphabet = sorted(set(symbols))
+    # int64 while the symbols fit; past 2^63 numpy picks uint64 or object
+    dtype = None if alphabet and alphabet[-1] >> 63 else np.int64
+    return np.searchsorted(np.array(alphabet, dtype=dtype), np.asarray(symbols, dtype=dtype))
 
 
 def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -119,6 +121,15 @@ def _doubling_ranks(rank: np.ndarray, succ: np.ndarray, limit: int) -> np.ndarra
     return rank
 
 
+def _sentinel_cycle(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Symbol ranks and successor permutation of the cycle w$, for w's
+    symbol ranks `rank`: `$` is rank 0 at position n and wraps to 0."""
+    n = len(rank)
+    succ = np.arange(1, n + 2, dtype=np.int64)
+    succ[n] = 0
+    return np.append(rank + 1, 0), succ
+
+
 def _suffix_sort(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """0-based suffix array and LCP array; a shorter suffix precedes a
     longer one it prefixes.  This is the rotation order of w$, `$` being
@@ -132,10 +143,7 @@ def _suffix_sort(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     `$`, so a + h and b + h never pass it.
     """
     n = len(symbols)
-    rank = np.append(_initial_ranks(symbols) + 1, 0)
-    succ = np.arange(1, n + 2, dtype=np.int64)
-    succ[n] = 0
-    levels = list(_doubling_rounds(rank, succ, n + 1))
+    levels = list(_doubling_rounds(*_sentinel_cycle(_initial_ranks(symbols)), n + 1))
     sa = _inverse(levels.pop())[1:]
     lcp = np.zeros(n, dtype=np.int64)
     a, b, h = sa[:-1], sa[1:], lcp[1:]
@@ -143,6 +151,22 @@ def _suffix_sort(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         ids = levels.pop()
         h += (ids[a + h] == ids[b + h]) << len(levels)
     return sa, lcp
+
+
+def reverse_prefix_order(w: Text) -> tuple[list[int], list[int], bytes]:
+    """The prefixes of w in the suffix order of reverse(w).
+
+    Returns (order, prefix, buf): order[p] is the rank of w[:p],
+    p = 0..n, when prefixes are ordered by their reversals (a shorter one
+    first when it is a suffix of the other), so that the prefixes sharing
+    a suffix of length l with any one prefix form a run of ranks around
+    it; prefix[r] is the p of rank r.  buf holds w's symbol ranks as
+    int32 bytes, 4 per symbol, so that slices compare in C.  The ranks
+    come from the doubling kernel on the cycle reverse(w)$, without LCP.
+    """
+    sym = _initial_ranks(w.symbols)
+    order = _doubling_ranks(*_sentinel_cycle(sym[::-1]), len(sym) + 1)[::-1]
+    return order.tolist(), _inverse(order).tolist(), sym.astype(np.int32).tobytes()
 
 
 def build_suffix_context(w: Text) -> SuffixContext:

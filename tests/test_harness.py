@@ -65,6 +65,14 @@ def test_report_validation():
         measure_value(Text((0,)), "nope")
 
 
+@pytest.mark.parametrize("big", [2**63, 2**64 + 5, 10**30])
+def test_symbols_past_int64(big):
+    # numpy holds these as uint64 or objects; only their order may matter
+    w = Text((big, 1, big, 0, big, big, 1, 0, big))
+    small = Text((2, 1, 2, 0, 2, 2, 1, 0, 2))
+    assert sensitivity_report(w, MEASURE_IDS) == sensitivity_report(small, MEASURE_IDS)
+
+
 def test_measure_ids_complete():
     assert set(MEASURE_IDS) == {"delta", "e", "r", "r_b", "r_dollar", "v",
                                 "z", "z_e", "z_end", "z_no"}

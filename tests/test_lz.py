@@ -207,6 +207,37 @@ def test_sources_match_oracle():
         assert triples(lz_end_greedy(w)) == brute_lz_end_greedy(s), s
 
 
+def _thue_morse(n):
+    return tuple(bin(i).count("1") & 1 for i in range(n))
+
+
+def _end_greedy_stress_texts(rng):
+    """Inputs where end-aligned sources are long, tied or far apart in the
+    reverse suffix order."""
+    texts = [_thue_morse(n) for n in range(1, 260, 3)]
+    for _ in range(25):     # periodic, about 1 % of the symbols mutated
+        block = tuple(rng.randrange(3) for _ in range(rng.randint(2, 9)))
+        s = [block[i % len(block)] for i in range(rng.randint(40, 200))]
+        texts.append(tuple((c + 1) % 3 if rng.random() < 0.01 else c for c in s))
+    for _ in range(25):     # random runs
+        s = []
+        while len(s) < 90:
+            s += [rng.randrange(3)] * rng.randint(1, 12)
+        texts.append(tuple(s))
+    for _ in range(25):     # squares XX
+        x = random_symbols(rng, 45)
+        texts.append(x + x)
+    for big in (2**31, 2**32 + 7, 2**63, 10**30):   # symbols past int32, int64, uint64
+        for _ in range(5):
+            texts.append(tuple(big + c for c in random_symbols(rng, 60, alphabets=(2, 3))))
+    return texts
+
+
+def test_end_greedy_stress_vs_brute():
+    for s in _end_greedy_stress_texts(random.Random(17)):
+        assert triples(lz_end_greedy(Text(s))) == brute_lz_end_greedy(s), s
+
+
 def test_matcher_links_match_definition():
     rng = random.Random(15)
     texts = [(0,), (0, 1), (1, 0), (0, 0)]
@@ -273,10 +304,23 @@ def test_end_greedy_scales_to_3e4():
     assert elapsed < 3
 
 
+@pytest.mark.parametrize("text", ["random", "thue_morse"])
+def test_end_greedy_scales_to_1e5(text):
+    rng = random.Random(18)
+    if text == "random":
+        w = Text(tuple(rng.randrange(4) for _ in range(10**5)))
+    else:
+        w = Text(_thue_morse(2**16))
+    p, elapsed = _timed_parse(lz_end_greedy, w)
+    assert len(lz_parse(w)) <= len(p)
+    assert elapsed < 3
+
+
 @pytest.mark.parametrize("parse", [lz_no_overlap, lz_end_greedy])
 def test_unary_worst_case_1e5(parse):
-    # a phrase costs O(its earlier occurrences) rank steps, which is every
-    # earlier position on a unary text; phrase lengths double: 1, 1, 2, 4, ...
+    # z_no walks every earlier position of a unary text, rank by rank; z_e
+    # passes its first check, a source ending at the last phrase end;
+    # phrase lengths double: 1, 1, 2, 4, ...
     w = Text((0,) * 10**5)
     p, elapsed = _timed_parse(parse, w)
     assert len(p) == 18
