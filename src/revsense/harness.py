@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .bwt import bbwt, bwt, bwt_sentinel
+from .bwt import TransformResult, bbwt, bwt, bwt_sentinel
 from .families import (
     REV_PARTNER,
     FamilySpec,
@@ -55,6 +55,16 @@ class _MeasureRunner:
     def lz_end(self) -> Parsing:
         return lz_end_greedy(self.w, self.ctx)
 
+    # r and r_b keep their transforms, which verify checks against the closed
+    # forms; named by transform_predictions' variants, looked up at call time
+    @functools.cached_property
+    def plain(self) -> TransformResult:
+        return bwt(self.w)
+
+    @functools.cached_property
+    def bijective(self) -> TransformResult:
+        return bbwt(self.w)
+
     def value(self, measure: str) -> tuple[object, bool]:
         """(value, exact); exact is False only for budget-limited z_end."""
         _check_measure_ids([measure])
@@ -71,8 +81,8 @@ def _z_end(t: _MeasureRunner) -> tuple[int, bool]:
 MEASURES: dict[str, Callable[[_MeasureRunner], tuple[object, bool]]] = {
     "delta": lambda t: (substring_complexity(t.w, t.ctx), True),
     "e": lambda t: (right_extension_count(t.w, t.ctx), True),
-    "r": lambda t: (bwt(t.w).run_count, True),
-    "r_b": lambda t: (bbwt(t.w).run_count, True),
+    "r": lambda t: (t.plain.run_count, True),
+    "r_b": lambda t: (t.bijective.run_count, True),
     "r_dollar": lambda t: (bwt_sentinel(t.w).run_count, True),
     "v": lambda t: (len(lex_parse(t.w, t.ctx)), True),
     "z": lambda t: (len(t.lz), True),
@@ -244,12 +254,8 @@ def verify(
             ok = exact and computed == pred.value
             rows.append(VerifyRow(family, param, pred.measure, pred.value, computed, ok))
         for variant, expected in transform_predictions(spec):
-            if variant == "plain":
-                computed_t = bwt(w).output
-                check = "bwt"
-            else:
-                computed_t = bbwt(w).output
-                check = "bbwt"
+            computed_t = getattr(runner, variant).output
+            check = "bwt" if variant == "plain" else "bbwt"
             rows.append(VerifyRow(family, param, check, expected, computed_t,
                                   computed_t == expected))
     return rows

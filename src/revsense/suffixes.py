@@ -1,11 +1,14 @@
 """Suffix array / inverse / LCP construction and cyclic rotation ranking.
 
 Both orders come from one numpy prefix-doubling kernel (O(n log n)); the
-suffix order of w is the rotation order of w$.  The LCP array is read off
-the same kernel's rounds, as Manber & Myers (SIAM J. Comput. 1993) do:
-each round's ids tell which 2^j-symbol prefixes are equal, so a binary
-lift over them gives every adjacent LCP at once, with no walk over the
-text.  Ranks are int32, so a text holds fewer than 2^31 symbols.
+suffix order of w is the rotation order of w$.  The kernel packs two ids
+into one int64 key by shifts and sorts only to turn the keys back into
+dense ids, as narrow as the number of distinct reads allows.  The LCP
+array is read off the same kernel's rounds, as Manber & Myers (SIAM J.
+Comput. 1993) do: each round's ids tell which 2^j-symbol prefixes are
+equal, so a binary lift over them gives every adjacent LCP at once, with
+no walk over the text.  Ranks are int32, so a text holds fewer than 2^31
+symbols.
 
 Arrays use 1-based position values (sa[i] is the 1-based start of the
 (i+1)-th smallest suffix) stored in ordinary 0-indexed tuples.
@@ -31,9 +34,9 @@ class SuffixContext:
     of the longest common prefix of the suffixes starting at sa[i-1]
     and sa[i].
 
-    Memory: the build keeps one id array per doubling round until the
-    LCP is read, O(n log L) words for the longest LCP L.  The packed
-    rounds' keys are int64 and the sort rounds' ranks int32.
+    Memory: the build keeps one int32 id array per doubling round until
+    the LCP is read, O(n log L) words for the longest LCP L; only the
+    keys of more than 31 bits that go into a sort are int64.
     """
 
     sa: tuple[int, ...]
@@ -56,19 +59,20 @@ def _initial_ranks(symbols: tuple[int, ...]) -> np.ndarray:
     alphabet = sorted(set(symbols))
     # int64 while the symbols fit; past 2^63 numpy picks uint64 or object
     dtype = None if alphabet and alphabet[-1] >> 63 else np.int64
-    return np.searchsorted(np.array(alphabet, dtype=dtype), np.asarray(symbols, dtype=dtype))
+    ranks = np.searchsorted(np.array(alphabet, dtype=dtype), np.asarray(symbols, dtype=dtype))
+    return ranks.astype(np.int32)
 
 
-def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, bool]:
+def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, int]:
     """int32 ranks 0, 1, ... of the keys in sorted order (equal keys share
-    a rank), and whether they are all distinct."""
+    a rank), and the number of distinct keys."""
     order = np.argsort(key)
     sk = key[order]
     csum = np.zeros(len(key), dtype=np.int32)
     np.cumsum(sk[1:] != sk[:-1], out=csum[1:])
     rank = np.empty_like(csum)
     rank[order] = csum
-    return rank, int(csum[-1]) == len(key) - 1
+    return rank, int(csum[-1]) + 1
 
 
 def _inverse(perm: np.ndarray) -> np.ndarray:
@@ -84,22 +88,23 @@ def _doubling_rounds(rank: np.ndarray, succ: np.ndarray, limit: int) -> Iterator
     positions get equal ids exactly when they read the same 2^j symbols
     along `succ`.  Yields the final ranks last; when the reads became
     distinct, they are the ids of the round after the last one yielded.
+    Keys of at most 31 bits, which include every yielded one, are int32.
     """
     n = len(rank)
-    bits = max(1, int(rank.max()).bit_length())
-    key, k = rank, 1
-    while k < limit and 2 * k * bits <= 62:
-        yield key
-        key = (key << (k * bits)) | key[succ]
-        succ = succ[succ]
-        k *= 2
-    rank, distinct = _dense_ranks(key)
-    while not distinct and k < limit:
-        yield rank
-        rank, distinct = _dense_ranks(np.multiply(rank, n, dtype=np.int64) + rank[succ])
-        succ = succ[succ]
-        k *= 2
-    if not distinct:
+    groups, k = int(rank.max()) + 1, 1
+    while True:
+        key, width = rank, max(1, (groups - 1).bit_length())
+        while k < limit and 2 * width <= 62:
+            yield key
+            if 2 * width > 31:
+                key = key.astype(np.int64)
+            key = (key << width) | key[succ]
+            succ = succ[succ]
+            k, width = 2 * k, 2 * width
+        rank, groups = _dense_ranks(key)
+        if groups == n or k >= limit:
+            break
+    if groups < n:
         rank, _ = _dense_ranks(np.multiply(rank, n, dtype=np.int64) + np.arange(n))
     yield rank
 
@@ -111,10 +116,12 @@ def _doubling_ranks(rank: np.ndarray, succ: np.ndarray, limit: int) -> np.ndarra
     permutation; position i reads rank[i], rank[succ[i]], ...  Prefix
     doubling compares 2^j symbols after round j and stops once the ranks
     are distinct or at least `limit` symbols were compared; positions
-    still equal then are ranked by position.  While two k-symbol keys fit
-    in 62 bits, the first rounds pack them into one int64 by shifts, with
-    no sort; each later round sorts the single key rank * n + rank[succ]
-    (Manber & Myers, SIAM J. Comput. 1993).
+    still equal then are ranked by position.  A round packs two keys into
+    one by shifts, with no sort, while they fit in 62 bits; then a sort
+    turns the keys into G dense ids, bit_length(G - 1) bits wide, and the
+    packing goes on at that width.  So a sort buys three doublings or more
+    while G <= 2^7, two while G <= 2^15 and one otherwise, as G <= n < 2^31;
+    Manber & Myers (SIAM J. Comput. 1993) sort in every round.
     """
     for rank in _doubling_rounds(rank, succ, limit):
         pass
@@ -127,7 +134,9 @@ def _sentinel_cycle(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(rank)
     succ = np.arange(1, n + 2, dtype=np.int64)
     succ[n] = 0
-    return np.append(rank + 1, 0), succ
+    cycle = np.zeros(n + 1, dtype=np.int32)
+    np.add(rank, 1, out=cycle[:n])
+    return cycle, succ
 
 
 def _suffix_sort(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +175,7 @@ def reverse_prefix_order(w: Text) -> tuple[list[int], list[int], bytes]:
     """
     sym = _initial_ranks(w.symbols)
     order = _doubling_ranks(*_sentinel_cycle(sym[::-1]), len(sym) + 1)[::-1]
-    return order.tolist(), _inverse(order).tolist(), sym.astype(np.int32).tobytes()
+    return order.tolist(), _inverse(order).tolist(), sym.tobytes()
 
 
 def build_suffix_context(w: Text) -> SuffixContext:

@@ -142,6 +142,24 @@ def test_verify_families():
     assert all(r.ok for r in verify("w_sigma_rev", range(2, 11, 2)))
 
 
+def test_verify_transforms_each_member_once(monkeypatch):
+    """The r and r_b rows and the bwt and bbwt rows of a member share one
+    transform each, and rebinding harness.bwt/bbwt (as a tracer does) is
+    seen."""
+    from revsense import harness
+    calls = []
+    for name in ("bwt", "bbwt"):
+        fn = getattr(harness, name)
+        monkeypatch.setattr(harness, name,
+                            lambda w, name=name, fn=fn: calls.append(name) or fn(w))
+    for family in ("u_k", "u_k_rev"):
+        calls.clear()
+        rows = verify(family, range(1, 4))
+        assert {r.check for r in rows} >= {"r", "r_b", "bwt", "bbwt"}
+        assert all(r.ok for r in rows)
+        assert sorted(calls) == ["bbwt"] * 3 + ["bwt"] * 3
+
+
 def test_verify_reports_param_and_values():
     row = verify("unary_plus", [5])[0]
     assert (row.family, row.param, row.check) == ("unary_plus", 5, "e")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from revsense import suffixes
 from revsense.bwt import bbwt
 from revsense.families import fibonacci_word
 from revsense.suffixes import _doubling_ranks, build_suffix_context, cyclic_rotation_order
@@ -204,19 +205,86 @@ def test_lcp_at_powers_of_two():
                 assert max(lcp) >= length
 
 
-@pytest.mark.parametrize("text", ["unary", "random"])
+@pytest.mark.parametrize("text", ["unary", "random", "fibonacci"])
 def test_suffix_context_memory_is_bounded(text):
-    # the build keeps one id array per doubling round: O(n log L) words
+    # the build keeps one int32 id array per doubling round: O(n log L) words
     n = 2 * 10**5
     rng = random.Random(104)
-    w = Text((0,) * n if text == "unary" else tuple(rng.randrange(4) for _ in range(n)))
+    w = {
+        "unary": lambda: Text((0,) * n),
+        "random": lambda: Text(tuple(rng.randrange(4) for _ in range(n))),
+        "fibonacci": lambda: fibonacci_word(27),    # n = 196,418; L = 121,391
+    }[text]()
     tracemalloc.start()
     try:
         build_suffix_context(w)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < (48 if text == "unary" else 32) * 2**20, peak
+    assert peak < {"unary": 48, "random": 32, "fibonacci": 30}[text] * 2**20, peak
+
+
+@pytest.mark.parametrize("sigma", [2**7 - 1, 2**7, 2**7 + 1, 2**15 - 1, 2**15, 2**15 + 1])
+def test_repack_at_width_boundaries(sigma):
+    """sigma distinct symbols, all >= 2^32, so that the first dense ids
+    (the symbol ranks) are 7, 8, 15 or 16 bits wide, both for the suffix
+    sort, whose `$` makes sigma + 1 ids, and for the rotation orders: a
+    phase then doubles three, two, two or one times, and its keys turn
+    int64 at the last of these doublings.
+    w = P P Q R: P is a shuffled permutation of the symbols that
+    starts with the largest, Q is P with two symbols swapped, so reads stay
+    equal for about sigma symbols and several phases run, and R puts the
+    smallest symbols before the largest and the smallest.  The top id then
+    follows the bottom id (`$` or the smallest symbol) and the bottom id
+    follows the next one, which would collide in a width one bit too
+    narrow.  w is primitive, so its rotation order is the order of the
+    suffixes of w w that start in the first copy."""
+    rng = random.Random(sigma)
+    p = [2**32 + 3 * i for i in range(sigma)]
+    rng.shuffle(p)
+    top = p.index(max(p))
+    p = p[top:] + p[:top]
+    q = list(p)
+    i, j = rng.sample(range(1, sigma), 2)
+    q[i], q[j] = q[j], q[i]
+    low, high = min(p), max(p)
+    r = [x for y in sorted(p)[:8] for x in (y, high, y, low)]
+    w = Text(tuple(p + p + q + r))
+    s, n = w.symbols, len(w)
+    assert len(set(s)) == sigma
+    assert all(s != s[d:] + s[:d] for d in range(1, n) if n % d == 0)
+    if sigma < 2**10:
+        assert build_suffix_context(w) == naive_suffix_context(w)
+        for starts in ((1,), lyndon_starts(w)):
+            assert cyclic_rotation_order(w, starts) == naive_cyclic_rotation_order(w, starts)
+    else:
+        _checked_lcp(w)
+        doubled = Text(s * 2)
+        _checked_lcp(doubled)
+        expected = tuple(x for x in build_suffix_context(doubled).sa if x <= n)
+        assert cyclic_rotation_order(w) == expected
+
+
+def test_sort_count_on_repetitive_text(monkeypatch):
+    """A sort re-packs the ids at their width, and shifts alone double
+    while two keys fit in 62 bits: on F_20 (n = 6765) one sort per
+    doubling took 10 sorts for the suffix order and 9 for the rotation
+    order, on unary n = 10^4 10 and 12."""
+    sorts = []
+    dense_ranks = suffixes._dense_ranks
+
+    def counted(key):
+        sorts.append(len(key))
+        return dense_ranks(key)
+
+    monkeypatch.setattr(suffixes, "_dense_ranks", counted)
+    for w, most_suffix, most_rotation in ((fibonacci_word(20), 5, 5), (Text((0,) * 10**4), 5, 4)):
+        sorts.clear()
+        build_suffix_context(w)
+        assert len(sorts) <= most_suffix, sorts
+        sorts.clear()
+        cyclic_rotation_order(w)
+        assert len(sorts) <= most_rotation, sorts
 
 
 def test_rotation_order_examples():
