@@ -28,16 +28,15 @@ class TransformResult:
 
 def _cycle_transform(w: Text, starts: Sequence[int], variant: str) -> TransformResult:
     """Last symbols of the rotations of the cycles of w (the factors that
-    begin at the 1-based `starts`) in cyclic_rotation_order, and their
-    run count.  A rotation's last symbol is the predecessor of its start
-    within its cycle."""
+    begin at `starts`) in cyclic_rotation_order, and their run count.  A
+    rotation's last symbol is the predecessor of its start within its
+    cycle."""
     n = len(w)
-    first = np.asarray(starts) - 1
-    # 0-based predecessor within each cycle; a cycle's first position wraps to its last
+    first = np.asarray(starts)
+    # predecessor within each cycle; a cycle's first position wraps to its last
     pred = np.arange(-1, n - 1)
     pred[first] = np.append(first[1:], n) - 1
-    order = np.asarray(cyclic_rotation_order(w, starts))
-    out = np.asarray(w.symbols)[pred[order - 1]]
+    out = np.asarray(w.symbols)[pred[np.asarray(cyclic_rotation_order(w, starts))]]
     runs = 1 + int(np.count_nonzero(out[1:] != out[:-1]))
     return TransformResult(Text(tuple(out.tolist()), w.names), runs, variant)
 
@@ -46,20 +45,21 @@ def bwt(w: Text) -> TransformResult:
     """Plain BWT over the rotations of w itself (no sentinel)."""
     if len(w) == 0:
         raise ValueError("BWT requires a non-empty text")
-    return _cycle_transform(w, (1,), "plain")
+    return _cycle_transform(w, (0,), "plain")
 
 
 def bwt_sentinel(w: Text) -> TransformResult:
     """BWT of w with an appended minimal sentinel.
 
-    The output alphabet is shifted: every input rank r becomes r+1 and
-    the sentinel is rank 0, displayed as "$".
+    The output alphabet is shifted: every input rank r becomes r+1, still
+    displayed as r was, and the sentinel is rank 0, displayed as "$".  An
+    input symbol displayed as "$" is refused.
     """
     if len(w) == 0:
         raise ValueError("BWT requires a non-empty text")
-    if w.names and SENTINEL_NAME in w.names.values():
+    names = {r + 1: w.name_of(r) for r in set(w.symbols)}
+    if SENTINEL_NAME in names.values():
         raise ValueError("input already contains the sentinel symbol")
-    names = {r + 1: name for r, name in (w.names or {}).items()}
     names[0] = SENTINEL_NAME
     shifted = Text(tuple(r + 1 for r in w.symbols) + (0,), names)
     res = bwt(shifted)

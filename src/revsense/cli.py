@@ -89,6 +89,8 @@ def _parse_measures(spec: str) -> list[str]:
 def _load_text(args: argparse.Namespace) -> Text:
     if (args.family is None) == (args.input is None):
         raise CliError("exactly one of --family and --input is required")
+    if args.input is not None and args.param is not None:
+        raise CliError("--param applies to --family only, not to --input")
     if args.family is not None:
         try:
             w = generate(FamilySpec(args.family, args.param))
@@ -216,12 +218,12 @@ def cmd_show(args: argparse.Namespace) -> int:
     lines = []
     if args.view in ("bwt", "bbwt"):
         s = w.symbols
-        starts = (1,) if args.view == "bwt" else lyndon_starts(w)
-        bounds = starts + (len(s) + 1,)
+        starts = (0,) if args.view == "bwt" else lyndon_starts(w)
+        bounds = starts + (len(s),)
         rows = []
         for p in cyclic_rotation_order(w, starts):
             i = bisect_right(starts, p)
-            rows.append(s[p - 1:bounds[i] - 1] + s[bounds[i - 1] - 1:p - 1])
+            rows.append(s[p:bounds[i]] + s[bounds[i - 1]:p])
         result = bwt(w) if args.view == "bwt" else bbwt(w)
         helper = Text((), w.names)
         for i, rot in enumerate(rows, start=1):

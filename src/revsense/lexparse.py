@@ -22,14 +22,14 @@ def lex_parse(w: Text, ctx: SuffixContext | None = None) -> Parsing:
     sa, isa, lcp = ctx.sa, ctx.isa, ctx.lcp
     n = len(w)
     phrases: list[Phrase] = []
-    i = 1
-    while i <= n:
-        r = isa[i - 1]
-        ell = lcp[r - 1]
+    i = 0
+    while i < n:
+        r = isa[i]
+        ell = lcp[r]
         if ell >= 1:
-            phrases.append(Phrase(i, ell, sa[r - 2]))
+            phrases.append(Phrase(i + 1, ell, sa[r - 1] + 1))
             i += ell
         else:
-            phrases.append(Phrase(i, 1, None))
+            phrases.append(Phrase(i + 1, 1, None))
             i += 1
     return Parsing(tuple(phrases), "lex")

@@ -60,7 +60,7 @@ class Parsing:
 
 
 class _SuffixMatcher:
-    """Longest-match machinery over a suffix context (0-based internally).
+    """Longest-match machinery over a suffix context.
 
     psv[r] / nsv[r] is the nearest rank before / after r whose suffix
     starts earlier, or -1; plcp[r] / nlcp[r] is the lcp of the suffixes
@@ -75,19 +75,18 @@ class _SuffixMatcher:
     def __init__(self, ctx: SuffixContext):
         n = len(ctx)
         self.n = n
-        self.isa0 = [r - 1 for r in ctx.isa]
+        self.isa = ctx.isa
+        self.sa = sa = ctx.sa
         lcp = ctx.lcp
-        self.sa_list = sa = [p - 1 for p in ctx.sa]
         self.psv = psv = [-1] * n
         self.nsv = nsv = [-1] * n
         self.plcp = plcp = [0] * n
         self.nlcp = nlcp = [0] * n
-        start = sa + [-1]          # start[-1] is the sentinel's: below every start
         stack = [-1]
         for r in range(n):
             p, m = sa[r], lcp[r]
-            while start[stack[-1]] > p:
-                t = stack.pop()
+            while (t := stack[-1]) >= 0 and sa[t] > p:
+                stack.pop()
                 nsv[t], nlcp[t] = r, m
                 if plcp[t] < m:
                     m = plcp[t]
@@ -97,12 +96,12 @@ class _SuffixMatcher:
     def longest_earlier_match(self, i0: int) -> tuple[int, int | None]:
         """Longest prefix of w[i0:] occurring at some position < i0
         (overlap with the phrase allowed); returns (length, source0)."""
-        r = self.isa0[i0]
+        r = self.isa[i0]
         if self.plcp[r] >= self.nlcp[r]:
             ell, cand = self.plcp[r], self.psv[r]
         else:
             ell, cand = self.nlcp[r], self.nsv[r]
-        return (ell, self.sa_list[cand]) if ell else (0, None)
+        return (ell, self.sa[cand]) if ell else (0, None)
 
     def longest_nonoverlapping_match(self, i0: int) -> tuple[int, int | None]:
         """Longest prefix of w[i0:] with an occurrence inside [0, i0),
@@ -116,8 +115,8 @@ class _SuffixMatcher:
         stops once its running lcp falls below the best length, so a phrase
         costs O(its earlier occurrences) rank steps.
         """
-        r = self.isa0[i0]
-        sa = self.sa_list
+        r = self.isa[i0]
+        sa = self.sa
         best, src = 0, None
         for chain, link in ((self.psv, self.plcp), (self.nsv, self.nlcp)):
             x, c = r, self.n

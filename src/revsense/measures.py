@@ -91,6 +91,6 @@ def right_extension_count(w: Text, ctx: SuffixContext | None = None) -> int:
         if stack[-1] < v:
             stack.append(v)
             nodes += 1
-        if v == n - sa[r - 1] + 1 and v > longest_repeated_suffix:
+        if v == n - sa[r - 1] and v > longest_repeated_suffix:
             longest_repeated_suffix = v
     return nodes + n - 1 - longest_repeated_suffix

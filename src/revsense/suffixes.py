@@ -10,8 +10,9 @@ equal, so a binary lift over them gives every adjacent LCP at once, with
 no walk over the text.  Ranks are int32, so a text holds fewer than 2^31
 symbols.
 
-Arrays use 1-based position values (sa[i] is the 1-based start of the
-(i+1)-th smallest suffix) stored in ordinary 0-indexed tuples.
+Positions are 0-based throughout: sa[i] is the start of the (i+1)-th
+smallest suffix and isa[p] the rank of the suffix at p, both read straight
+off the kernel's arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .text import Text
 class SuffixContext:
     """Suffix array, inverse suffix array and LCP array of one text.
 
-    Invariants: isa[sa[i]-1] == i+1; lcp[0] == 0; lcp[i] is the length
+    Invariants: isa[sa[i]] == i; lcp[0] == 0; lcp[i] is the length
     of the longest common prefix of the suffixes starting at sa[i-1]
     and sa[i].
 
@@ -140,10 +141,9 @@ def _sentinel_cycle(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _suffix_sort(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """0-based suffix array and LCP array; a shorter suffix precedes a
-    longer one it prefixes.  This is the rotation order of w$, `$` being
-    a unique smallest symbol, so it ranks the cycle of w$ and drops the
-    `$`.
+    """Suffix array and LCP array; a shorter suffix precedes a longer one
+    it prefixes.  This is the rotation order of w$, `$` being a unique
+    smallest symbol, so it ranks the cycle of w$ and drops the `$`.
 
     The LCP comes from the rounds' ids (Manber & Myers): the final round
     makes every 2^J-symbol read distinct, so each adjacent pair (a, b)
@@ -181,17 +181,16 @@ def reverse_prefix_order(w: Text) -> tuple[list[int], list[int], bytes]:
 def build_suffix_context(w: Text) -> SuffixContext:
     if len(w) == 0:
         raise ValueError("suffix structures require a non-empty text")
-    sa0, lcp = _suffix_sort(w.symbols)
-    return SuffixContext(tuple((sa0 + 1).tolist()), tuple((_inverse(sa0) + 1).tolist()),
-                         tuple(lcp.tolist()))
+    sa, lcp = _suffix_sort(w.symbols)
+    return SuffixContext(tuple(sa.tolist()), tuple(_inverse(sa).tolist()), tuple(lcp.tolist()))
 
 
-def cyclic_rotation_order(w: Text, starts: Sequence[int] = (1,)) -> tuple[int, ...]:
-    """Start positions (1-based) of the rotations of the cycles of w, in
+def cyclic_rotation_order(w: Text, starts: Sequence[int] = (0,)) -> tuple[int, ...]:
+    """Start positions of the rotations of the cycles of w, in
     non-decreasing lexicographic order of their infinite periodic strings.
 
-    The cycles are the factors of w that begin at the 1-based positions in
-    `starts` (default: w itself, one cycle).  Each position is ranked by
+    The cycles are the factors of w that begin at the positions in `starts`
+    (default: w itself, one cycle).  Each position is ranked by
     prefix doubling over the successor permutation that steps to the next
     position and wraps from a cycle's last position to its first; no
     sentinel is ever appended.  Rotations x, y that agree on |x|+|y|
@@ -201,12 +200,11 @@ def cyclic_rotation_order(w: Text, starts: Sequence[int] = (1,)) -> tuple[int, .
     if len(w) == 0:
         raise ValueError("the empty text has no rotations")
     n = len(w)
-    if (len(starts) == 0 or starts[0] != 1 or starts[-1] > n
+    if (len(starts) == 0 or starts[0] != 0 or starts[-1] >= n
             or not all(map(operator.lt, starts, starts[1:]))):
-        raise ValueError(f"cycle starts must begin at 1 and increase strictly within [1, {n}]")
-    ends = (*starts[1:], n + 1)
+        raise ValueError(f"cycle starts must begin at 0 and increase strictly within [0, {n})")
+    ends = (*starts[1:], n)
     succ = np.arange(1, n + 1, dtype=np.int64)
-    succ[np.asarray(ends, dtype=np.int64) - 2] = np.asarray(starts, dtype=np.int64) - 1
+    succ[np.asarray(ends, dtype=np.int64) - 1] = starts
     longest = max(map(operator.sub, ends, starts))
-    order = _inverse(_doubling_ranks(_initial_ranks(w.symbols), succ, 2 * longest))
-    return tuple((order + 1).tolist())
+    return tuple(_inverse(_doubling_ranks(_initial_ranks(w.symbols), succ, 2 * longest)).tolist())

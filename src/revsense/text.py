@@ -6,8 +6,8 @@ rank -> display-name table so that synthetic alphabets (a_1 < ... <
 a_s, interleaved marker symbols, ...) print readably.  All operations
 here are pure functions on immutable values.
 
-Positions reported by operations (Lyndon factor starts, occurrence starts)
-are 1-based; Python-style indexing/slicing of a Text stays 0-based.
+Lyndon factor starts are 0-based, like indexing and slicing a Text;
+occurrence starts are 1-based, as the paper reports positions.
 """
 
 from __future__ import annotations
@@ -117,7 +117,7 @@ def rle(w: Text) -> RunLengthEncoding:
 
 
 def lyndon_starts(w: Text) -> tuple[int, ...]:
-    """1-based start positions of the factors of the unique factorization
+    """Start positions of the factors of the unique factorization
     of w into non-increasing Lyndon words (Duval, J. Algorithms 1983).
 
     One left-to-right pass in O(n) time; the only extra memory is the
@@ -136,15 +136,15 @@ def lyndon_starts(w: Text) -> tuple[int, ...]:
             j += 1
         # s[i:j] is a power of the Lyndon word s[i:i+step] plus a proper prefix of it
         step = j - k
-        starts.extend(range(i + 1, k + 2, step))
+        starts.extend(range(i, k + 1, step))
         i += ((k - i) // step + 1) * step
     return tuple(starts)
 
 
 def lyndon_factorize(w: Text) -> list[Text]:
     """Unique factorization into non-increasing Lyndon factors."""
-    bounds = lyndon_starts(w) + (len(w) + 1,)
-    return [w[a - 1:b - 1] for a, b in zip(bounds, bounds[1:])]
+    bounds = lyndon_starts(w) + (len(w),)
+    return [w[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def is_lyndon(w: Text) -> bool:
@@ -152,7 +152,7 @@ def is_lyndon(w: Text) -> bool:
     that is, iff w is its own only Lyndon factor."""
     if len(w) == 0:
         raise ValueError("the empty text is not eligible for the Lyndon test")
-    return lyndon_starts(w) == (1,)
+    return lyndon_starts(w) == (0,)
 
 
 def occurrences(pattern: Text, text: Text) -> list[int]:

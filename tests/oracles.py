@@ -152,7 +152,7 @@ def omega_compare(x, y):
 
 
 def brute_lyndon_starts(s):
-    """1-based starts of the Lyndon factors of s from the definition: each
+    """Starts of the Lyndon factors of s from the definition: each
     factor is the longest prefix of the rest that is strictly smaller than
     all of its proper rotations."""
     def is_lyndon(x):
@@ -161,7 +161,7 @@ def brute_lyndon_starts(s):
     starts = []
     i = 0
     while i < len(s):
-        starts.append(i + 1)
+        starts.append(i)
         i = max(j for j in range(i + 1, len(s) + 1) if is_lyndon(s[i:j]))
     return tuple(starts)
 
@@ -170,8 +170,8 @@ def brute_bbwt(s):
     """Bijective BWT from the definition: split s into its Lyndon factors,
     sort every rotation of every factor by its infinite power, and read
     off the last symbols."""
-    bounds = brute_lyndon_starts(s) + (len(s) + 1,)
-    factors = [s[a - 1:b - 1] for a, b in zip(bounds, bounds[1:])]
+    bounds = brute_lyndon_starts(s) + (len(s),)
+    factors = [s[a:b] for a, b in zip(bounds, bounds[1:])]
     rotations = [f[k:] + f[:k] for f in factors for k in range(len(f))]
     rotations.sort(key=cmp_to_key(omega_compare))
     return tuple(r[-1] for r in rotations)
@@ -218,13 +218,13 @@ def naive_suffix_context(w):
         raise ValueError("suffix structures require a non-empty text")
     s = w.symbols
     n = len(s)
-    sa = sorted(range(1, n + 1), key=lambda i: s[i - 1:])
+    sa = sorted(range(n), key=lambda i: s[i:])
     isa = [0] * n
-    for r, p in enumerate(sa, start=1):
-        isa[p - 1] = r
+    for r, p in enumerate(sa):
+        isa[p] = r
     lcp = [0] * n
     for r in range(1, n):
-        a, b = s[sa[r - 1] - 1:], s[sa[r] - 1:]
+        a, b = s[sa[r - 1]:], s[sa[r]:]
         m = 0
         while m < len(a) and m < len(b) and a[m] == b[m]:
             m += 1
@@ -232,17 +232,17 @@ def naive_suffix_context(w):
     return SuffixContext(tuple(sa), tuple(isa), tuple(lcp))
 
 
-def naive_cyclic_rotation_order(w, starts=(1,)):
-    """1-based rotation starts of the cycles of a Text (the factors that
-    begin at `starts`), sorted by their infinite powers cut to twice the
-    longest cycle (two powers that agree on |x| + |y| symbols are equal),
-    ties by start position."""
+def naive_cyclic_rotation_order(w, starts=(0,)):
+    """Rotation starts of the cycles of a Text (the factors that begin at
+    `starts`), sorted by their infinite powers cut to twice the longest
+    cycle (two powers that agree on |x| + |y| symbols are equal), ties by
+    start position."""
     s = w.symbols
-    bounds = list(starts) + [len(s) + 1]
+    bounds = list(starts) + [len(s)]
     cut = 2 * max(b - a for a, b in zip(bounds, bounds[1:]))
     keys = []
     for a, b in zip(bounds, bounds[1:]):
-        f = s[a - 1:b - 1]
+        f = s[a:b]
         for k in range(len(f)):
             rot = f[k:] + f[:k]
             keys.append(((rot * (cut // len(rot) + 1))[:cut], a + k))
@@ -250,13 +250,13 @@ def naive_cyclic_rotation_order(w, starts=(1,)):
 
 
 def kasai_lcp(s, sa):
-    """LCP array of the symbols `s` from their 1-based suffix array `sa`,
+    """LCP array of the symbols `s` from their suffix array `sa`,
     by Kasai et al. (CPM 2001): walk the text in position order, carrying
     the common prefix minus one into the next suffix."""
     n = len(s)
     rank = [0] * n
     for r, p in enumerate(sa):
-        rank[p - 1] = r
+        rank[p] = r
     lcp = [0] * n
     k = 0
     for i in range(n):
@@ -264,7 +264,7 @@ def kasai_lcp(s, sa):
         if r == 0:
             k = 0
             continue
-        j = sa[r - 1] - 1
+        j = sa[r - 1]
         while i + k < n and j + k < n and s[i + k] == s[j + k]:
             k += 1
         lcp[r] = k

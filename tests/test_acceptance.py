@@ -270,9 +270,9 @@ def test_criterion_8b_measure_sandwich():
         z_no = len(lz_no_overlap(w, ctx))
         z_e = len(lz_end_greedy(w, ctx))
         p_end, exact = lz_end_optimal(w, ctx=ctx)
-        if not (exact and z <= len(p_end) <= z_e and z <= z_no):
+        if not (exact and z <= z_no <= len(p_end) <= z_e):
             bad += 1
-    report("8b", bad == 0, f"z <= z_end <= z_e and z <= z_no on 10^4 strings, {bad} violations")
+    report("8b", bad == 0, f"z <= z_no <= z_end <= z_e on 10^4 strings, {bad} violations")
 
 
 def test_criterion_8c_greedy_optimality_exhaustive():

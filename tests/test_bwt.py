@@ -53,10 +53,16 @@ def test_sentinel_adds_one_run_on_block_family():
         assert bwt_sentinel(ur).run_count == bwt(ur).run_count + 1
 
 
+def test_sentinel_keeps_the_names_of_unnamed_ranks():
+    # ranks 97 and 98 print as "a" and "b" by their character codes
+    assert bwt_sentinel(Text((97, 98, 97))).output.display() == "ab$a"
+
+
 def test_sentinel_rejects_sentinel_in_input():
-    w = Text((0,), {0: "$"})
-    with pytest.raises(ValueError):
-        bwt_sentinel(w)
+    # rank 36 is unnamed and prints as "$" by its character code
+    for w in (Text((0,), {0: "$"}), Text((36, 1))):
+        with pytest.raises(ValueError):
+            bwt_sentinel(w)
 
 
 @given(nonempty_texts)
@@ -79,7 +85,7 @@ def test_run_count_is_the_rle_length(w):
 def test_bwt_matches_suffix_order_with_unique_terminal(w):
     ext = Text(tuple(r + 1 for r in w.symbols) + (0,))
     sa = build_suffix_context(ext).sa
-    expected = tuple(ext.symbols[p - 2] for p in sa)
+    expected = tuple(ext.symbols[p - 1] for p in sa)
     assert bwt(ext).output.symbols == expected
 
 

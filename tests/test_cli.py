@@ -104,6 +104,16 @@ def test_measure_requires_one_source(capsys):
     assert run_cli("measure", "--family", "t55", "--input", "x", "--measures", "z") == 2
 
 
+def test_param_with_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "ex.txt"
+    path.write_text("baabaaba\n")
+    for command in (["measure", "--measures", "z"], ["gen"], ["show", "--view", "lz"]):
+        assert run_cli(*command, "--input", str(path), "--param", "7") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "revsense: --param applies to --family only, not to --input\n"
+
+
 def test_sweep_csv(tmp_path):
     path = tmp_path / "out.csv"
     assert run_cli("sweep", "--family", "u_k", "--range", "1:10",

@@ -45,10 +45,10 @@ def test_source_is_lexicographic_predecessor():
         for ph in lex_parse(w, ctx).phrases:
             r = ctx.isa[ph.start - 1]
             if ph.source is None:
-                assert ctx.lcp[r - 1] == 0 and ph.length == 1
+                assert ctx.lcp[r] == 0 and ph.length == 1
             else:
-                assert ph.source == ctx.sa[r - 2]
-                assert ph.length == ctx.lcp[r - 1]
+                assert ph.source == ctx.sa[r - 1] + 1
+                assert ph.length == ctx.lcp[r]
 
 
 def test_tiling_and_naive_context_agreement():

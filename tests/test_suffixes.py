@@ -24,10 +24,10 @@ nonempty_texts = st.lists(st.integers(0, 4), min_size=1, max_size=64).map(lambda
 
 def test_examples():
     ctx = build_suffix_context(Text.from_str("abc"))
-    assert ctx.sa == (1, 2, 3)
+    assert ctx.sa == (0, 1, 2)
     assert ctx.lcp == (0, 0, 0)
     ctx = build_suffix_context(Text.from_str("aaa"))
-    assert ctx.sa == (3, 2, 1)
+    assert ctx.sa == (2, 1, 0)
     assert ctx.lcp == (0, 1, 2)
     w = Text.from_str("abracadabracabra")
     assert build_suffix_context(w) == naive_suffix_context(w)
@@ -40,7 +40,7 @@ def test_empty_rejected():
         cyclic_rotation_order(Text(()))
 
 
-@pytest.mark.parametrize("starts", [(), (2,), (0, 3), (1, 3, 3), (1, 4, 2), (1, 7), (1, 3, 9)])
+@pytest.mark.parametrize("starts", [(), (1,), (-1, 2), (0, 2, 2), (0, 3, 1), (0, 6), (0, 2, 8)])
 def test_rotation_order_rejects_bad_starts(starts):
     with pytest.raises(ValueError):
         cyclic_rotation_order(Text.from_str("abcabc"), starts)
@@ -50,12 +50,12 @@ def test_rotation_order_rejects_bad_starts(starts):
 def test_context_invariants(w):
     ctx = build_suffix_context(w)
     n = len(w)
-    assert sorted(ctx.sa) == list(range(1, n + 1))
-    assert all(ctx.isa[ctx.sa[i] - 1] == i + 1 for i in range(n))
+    assert sorted(ctx.sa) == list(range(n))
+    assert all(ctx.isa[ctx.sa[i]] == i for i in range(n))
     assert ctx.lcp[0] == 0
     for i in range(1, n):
-        a = w.symbols[ctx.sa[i - 1] - 1:]
-        b = w.symbols[ctx.sa[i] - 1:]
+        a = w.symbols[ctx.sa[i - 1]:]
+        b = w.symbols[ctx.sa[i]:]
         assert a < b
         m = 0
         while m < len(a) and m < len(b) and a[m] == b[m]:
@@ -100,7 +100,7 @@ def test_kernel_with_wide_ranks(bits):
         s = tuple(rng.choice((0, 1, top >> 1, top - 1, top)) for _ in range(n))
         succ = np.roll(np.arange(n), -1)
         rank = _doubling_ranks(np.asarray(s, dtype=np.int64), succ, 2 * n)
-        order = tuple((np.argsort(rank) + 1).tolist())
+        order = tuple(np.argsort(rank).tolist())
         assert order == naive_cyclic_rotation_order(Text(s)), s
 
 
@@ -115,20 +115,20 @@ def test_alphabet_of_65537_symbols():
     w = Text(tuple(p) * 2)
     by_symbol = sorted(range(m), key=p.__getitem__)
     ctx = build_suffix_context(w)
-    assert ctx.sa == tuple(x for i in by_symbol for x in (i + m + 1, i + 1))
+    assert ctx.sa == tuple(x for i in by_symbol for x in (i + m, i))
     assert ctx.lcp == tuple(x for i in by_symbol for x in (0, m - i))
-    assert cyclic_rotation_order(w) == tuple(x for i in by_symbol for x in (i + 1, i + m + 1))
+    assert cyclic_rotation_order(w) == tuple(x for i in by_symbol for x in (i, i + m))
 
 
 def test_rotation_order_of_many_cycles():
-    """Every symbol its own cycle (starts 1..n), and Lyndon factor cycles
+    """Every symbol its own cycle (starts 0..n-1), and Lyndon factor cycles
     with one long factor; the orders match the oracle and, read as a
     bijective BWT, the brute-force one."""
     rng = random.Random(101)
     for _ in range(200):
         sigma = rng.choice((1, 2, 3, 5))
         w = Text(tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 80))))
-        starts = tuple(range(1, len(w) + 1))
+        starts = tuple(range(len(w)))
         assert cyclic_rotation_order(w, starts) == naive_cyclic_rotation_order(w, starts)
     for n in (31, 32, 63, 64, 65, 300):
         # a unique smallest first symbol makes the factor Lyndon
@@ -136,7 +136,7 @@ def test_rotation_order_of_many_cycles():
         s = (2, 1, 2) + long_factor + (0, 0)
         w = Text(s)
         starts = lyndon_starts(w)
-        assert max(b - a for a, b in zip(starts, starts[1:] + (len(s) + 1,))) == n
+        assert max(b - a for a, b in zip(starts, starts[1:] + (len(s),))) == n
         assert cyclic_rotation_order(w, starts) == naive_cyclic_rotation_order(w, starts)
         assert bbwt(w).output.symbols == brute_bbwt(s)
 
@@ -148,7 +148,7 @@ def test_lcp_direct_recompute_longer_strings():
         ctx = build_suffix_context(w)
         s = w.symbols
         for i in range(1, len(w)):
-            a, b = s[ctx.sa[i - 1] - 1:], s[ctx.sa[i] - 1:]
+            a, b = s[ctx.sa[i - 1]:], s[ctx.sa[i]:]
             m = 0
             while m < len(a) and m < len(b) and a[m] == b[m]:
                 m += 1
@@ -167,7 +167,7 @@ def _checked_lcp(w):
     ctx = build_suffix_context(w)
     assert ctx.lcp == kasai_lcp(s, ctx.sa)
     for i in range(1, n):
-        a, b, m = ctx.sa[i - 1] - 1, ctx.sa[i] - 1, ctx.lcp[i]
+        a, b, m = ctx.sa[i - 1], ctx.sa[i], ctx.lcp[i]
         assert a + m == n or (b + m < n and s[a + m] < s[b + m])
     return ctx.lcp
 
@@ -255,13 +255,13 @@ def test_repack_at_width_boundaries(sigma):
     assert all(s != s[d:] + s[:d] for d in range(1, n) if n % d == 0)
     if sigma < 2**10:
         assert build_suffix_context(w) == naive_suffix_context(w)
-        for starts in ((1,), lyndon_starts(w)):
+        for starts in ((0,), lyndon_starts(w)):
             assert cyclic_rotation_order(w, starts) == naive_cyclic_rotation_order(w, starts)
     else:
         _checked_lcp(w)
         doubled = Text(s * 2)
         _checked_lcp(doubled)
-        expected = tuple(x for x in build_suffix_context(doubled).sa if x <= n)
+        expected = tuple(x for x in build_suffix_context(doubled).sa if x < n)
         assert cyclic_rotation_order(w) == expected
 
 
@@ -288,11 +288,11 @@ def test_sort_count_on_repetitive_text(monkeypatch):
 
 
 def test_rotation_order_examples():
-    assert cyclic_rotation_order(Text.from_str("aaaa")) == (1, 2, 3, 4)
-    assert cyclic_rotation_order(Text.from_str("abab")) == (1, 3, 2, 4)
+    assert cyclic_rotation_order(Text.from_str("aaaa")) == (0, 1, 2, 3)
+    assert cyclic_rotation_order(Text.from_str("abab")) == (0, 2, 1, 3)
     order = cyclic_rotation_order(Text.from_str("baabaaba"))
     w = Text.from_str("baabaaba").symbols
-    last = "".join(chr(w[p - 2]) for p in order)
+    last = "".join(chr(w[p - 1]) for p in order)
     assert last == "bbbaaaaa"
 
 
