@@ -26,7 +26,7 @@ from .harness import (
     SensitivityReport,
     SweepRow,
     VerifyRow,
-    measure_value,
+    evaluate,
     rows_from_csv,
     rows_to_csv,
     sensitivity_report,
@@ -37,16 +37,6 @@ from .lexparse import lex_parse
 from .lz import Parsing, Phrase, lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
 from .measures import right_extension_count, substring_complexity
 from .suffixes import SuffixContext, build_suffix_context, cyclic_rotation_order
-from .text import (
-    RunLengthEncoding,
-    Text,
-    concat,
-    is_lyndon,
-    lyndon_factorize,
-    lyndon_starts,
-    occurrences,
-    reverse,
-    rle,
-)
+from .text import Text, concat, is_lyndon, lyndon_starts, occurrences, reverse
 
 __version__ = "0.1.0"

@@ -23,14 +23,7 @@ from bisect import bisect_right
 from . import textio
 from .bwt import bbwt, bwt
 from .families import FAMILIES, VERIFY_GRIDS, FamilySpec, generate
-from .harness import (
-    DEFAULT_NODE_BUDGET,
-    MEASURE_IDS,
-    _MeasureRunner,
-    rows_to_csv,
-    sweep,
-    verify,
-)
+from .harness import DEFAULT_NODE_BUDGET, MEASURE_IDS, evaluate, rows_to_csv, sweep, verify
 from .lexparse import lex_parse
 from .lz import lz_end_greedy, lz_no_overlap, lz_parse
 from .suffixes import cyclic_rotation_order
@@ -105,7 +98,7 @@ def _load_text(args: argparse.Namespace) -> Text:
                            ) from exc
         except (OSError, textio.SerializationError) as exc:
             raise CliError(str(exc)) from exc
-    if getattr(args, "reverse", False):
+    if args.reverse:
         w = reverse(w)
     if len(w) == 0:
         raise CliError("input text is empty")
@@ -136,15 +129,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_measure(args: argparse.Namespace) -> int:
     measures = _parse_measures(args.measures)
     w = _load_text(args)
-    runner = _MeasureRunner(w, args.node_budget)
-    lines = []
-    for m in measures:
-        try:
-            value, exact = runner.value(m)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        suffix = "" if exact else " exact=false"
-        lines.append(f"{m}={value}{suffix}")
+    try:
+        results = evaluate(w, measures, args.node_budget)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+    lines = [f"{m}={value}" + ("" if exact else " exact=false")
+             for m, (value, exact) in zip(measures, results)]
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -225,30 +215,27 @@ def cmd_show(args: argparse.Namespace) -> int:
             i = bisect_right(starts, p)
             rows.append(s[p:bounds[i]] + s[bounds[i - 1]:p])
         result = bwt(w) if args.view == "bwt" else bbwt(w)
-        helper = Text((), w.names)
         for i, rot in enumerate(rows, start=1):
-            body = " ".join(helper.name_of(r) for r in rot[:-1])
-            lines.append(f"{i:>4}  {body} | {helper.name_of(rot[-1])}")
+            body = " ".join(w.name_of(r) for r in rot[:-1])
+            lines.append(f"{i:>4}  {body} | {w.name_of(rot[-1])}")
         lines.append(f"{args.view}: {result.output.display()}   runs={result.run_count}")
     else:
         parsing = PARSE_VIEWS[args.view](w)
-        for i, ph in enumerate(parsing.phrases, start=1):
-            chunk = w[ph.start - 1:ph.end].display()
+        for i, (ph, chunk) in enumerate(zip(parsing.phrases, parsing.phrase_texts(w)), start=1):
             src = "literal" if ph.source is None else f"source={ph.source}"
-            lines.append(f"{i:>4}  [{ph.start},{ph.end}]  {chunk}  ({src})")
+            lines.append(f"{i:>4}  [{ph.start},{ph.end}]  {chunk.display()}  ({src})")
         lines.append(f"{args.view}: {len(parsing)} phrases")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
-def _add_text_source(p: argparse.ArgumentParser, with_reverse: bool = True) -> None:
+def _add_text_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--family", help=f"one of: {', '.join(sorted(FAMILIES))}")
     p.add_argument("--param", type=int, help="family parameter")
     p.add_argument("--input", help="path to a serialized text")
     p.add_argument("--format", choices=("ascii", "tokens"),
                    help="serialization (default: tokens for gen, autodetect for files)")
-    if with_reverse:
-        p.add_argument("--reverse", action="store_true", help="operate on the reversal")
+    p.add_argument("--reverse", action="store_true", help="operate on the reversal")
 
 
 def build_parser() -> argparse.ArgumentParser:

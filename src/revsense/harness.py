@@ -65,11 +65,6 @@ class _MeasureRunner:
     def bijective(self) -> TransformResult:
         return bbwt(self.w)
 
-    def value(self, measure: str) -> tuple[object, bool]:
-        """(value, exact); exact is False only for budget-limited z_end."""
-        _check_measure_ids([measure])
-        return MEASURES[measure](self)
-
 
 def _z_end(t: _MeasureRunner) -> tuple[int, bool]:
     parsing, exact = lz_end_optimal(t.w, t.node_budget, t.ctx, t.lz_end, t.lz)
@@ -93,16 +88,20 @@ MEASURES: dict[str, Callable[[_MeasureRunner], tuple[object, bool]]] = {
 MEASURE_IDS = tuple(MEASURES)
 
 
-def _check_measure_ids(measures: Iterable[str]) -> None:
+def evaluate(
+    w: Text, measures: Iterable[str], node_budget: int = DEFAULT_NODE_BUDGET
+) -> list[tuple[object, bool]]:
+    """(value, exact) of each measure on w, in the order given; exact is
+    False only for budget-limited z_end.  Every id is checked before
+    anything is computed, and all measures share one suffix context."""
+    measures = list(measures)
     for m in measures:
         if m not in MEASURES:
             raise KeyError(f"unknown measure id {m!r}")
-
-
-def measure_value(
-    w: Text, measure: str, node_budget: int = DEFAULT_NODE_BUDGET
-) -> tuple[object, bool]:
-    return _MeasureRunner(w, node_budget).value(measure)
+    if len(w) == 0:
+        raise ValueError("measures require a non-empty text")
+    runner = _MeasureRunner(w, node_budget)
+    return [MEASURES[m](runner) for m in measures]
 
 
 @dataclass(frozen=True)
@@ -123,22 +122,14 @@ def _report(measure: str, vf: object, vr: object, exact: bool) -> SensitivityRep
     return SensitivityReport(measure, vf, vr, vr - vf, mult, exact)
 
 
-def _evaluate(w: Text, measures: Sequence[str], node_budget: int) -> list[tuple[object, bool]]:
-    runner = _MeasureRunner(w, node_budget)
-    return [runner.value(m) for m in measures]
-
-
 def sensitivity_report(
     w: Text, measures: Iterable[str], node_budget: int = DEFAULT_NODE_BUDGET
 ) -> list[SensitivityReport]:
     """One report per measure id, ordered by measure id."""
-    if len(w) == 0:
-        raise ValueError("sensitivity reports require a non-empty text")
     wanted = sorted(set(measures))
-    _check_measure_ids(wanted)
     # one orientation at a time, so only one suffix context and matcher is alive
-    fwd = _evaluate(w, wanted, node_budget)
-    rev = _evaluate(reverse(w), wanted, node_budget)
+    fwd = evaluate(w, wanted, node_budget)
+    rev = evaluate(reverse(w), wanted, node_budget)
     return [_report(m, vf, vr, ef and er) for m, (vf, ef), (vr, er) in zip(wanted, fwd, rev)]
 
 
@@ -250,7 +241,7 @@ def verify(
         w = generate(spec)
         runner = _MeasureRunner(w, node_budget)
         for pred in predictions(spec):
-            computed, exact = runner.value(pred.measure)
+            computed, exact = MEASURES[pred.measure](runner)
             ok = exact and computed == pred.value
             rows.append(VerifyRow(family, param, pred.measure, pred.value, computed, ok))
         for variant, expected in transform_predictions(spec):

@@ -27,6 +27,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .suffixes import SuffixContext, build_suffix_context, reverse_prefix_order
 from .text import Text
@@ -154,17 +155,19 @@ def _match_lengths(symbols: tuple[int, ...], i0: int) -> list[int]:
     return [min(z[m + 1 + j], m) for j in range(len(symbols))]
 
 
-def _greedy_parse(w: Text, ctx: SuffixContext | None, longest_match, variant: str) -> Parsing:
-    """Greedy phrase loop: at each position take the longest qualifying
-    source that `longest_match(matcher, i0)` reports, else a literal."""
+def _greedy_parse(w: Text, ctx: SuffixContext | None, rule, variant: str) -> Parsing:
+    """Greedy phrase loop: `rule(ctx)` returns the per-position function,
+    bound once per parse, that reports the longest qualifying source at i0
+    as (length, source0), or (0, None) for a literal.  Every greedy parse
+    runs this loop, the lexicographic one (`lexparse.lex_parse`) included."""
     if len(w) == 0:
         raise ValueError("cannot parse the empty text")
-    matcher = (ctx or build_suffix_context(w)).matcher
+    longest_match = rule(ctx or build_suffix_context(w))
     n = len(w)
     phrases: list[Phrase] = []
     i0 = 0
     while i0 < n:
-        ell, src0 = longest_match(matcher, i0)
+        ell, src0 = longest_match(i0)
         if ell == 0:
             phrases.append(Phrase(i0 + 1, 1, None))
             i0 += 1
@@ -176,12 +179,12 @@ def _greedy_parse(w: Text, ctx: SuffixContext | None, longest_match, variant: st
 
 def lz_parse(w: Text, ctx: SuffixContext | None = None) -> Parsing:
     """Greedy LZ with self-overlap allowed; phrase count = z(w)."""
-    return _greedy_parse(w, ctx, _SuffixMatcher.longest_earlier_match, "lz")
+    return _greedy_parse(w, ctx, attrgetter("matcher.longest_earlier_match"), "lz")
 
 
 def lz_no_overlap(w: Text, ctx: SuffixContext | None = None) -> Parsing:
     """Greedy LZ with sources completely to the left; count = z_no(w)."""
-    return _greedy_parse(w, ctx, _SuffixMatcher.longest_nonoverlapping_match, "lz_no")
+    return _greedy_parse(w, ctx, attrgetter("matcher.longest_nonoverlapping_match"), "lz_no")
 
 
 def _end_aligned_candidates(
@@ -225,45 +228,49 @@ def lz_end_greedy(w: Text, ctx: SuffixContext | None = None) -> Parsing:
     a phrase costs L - l + 1 checks.  The smallest passing end keeps the
     leftmost source.
     """
-    # a byte of `marked` is 1 at the rank of a phrase end, so finding the
-    # next one either way is a byte search in C, and marking one is a store
-    order, prefix, buf = reverse_prefix_order(w)
-    marked = bytearray(len(order))
-    rfind, find = marked.rfind, marked.find
+    def rule(ctx: SuffixContext):
+        earlier = ctx.matcher.longest_earlier_match
+        # a byte of `marked` is 1 at the rank of a phrase end, so finding the
+        # next one either way is a byte search in C, and marking one is a store
+        order, prefix, buf = reverse_prefix_order(w)
+        marked = bytearray(len(order))
+        rfind, find = marked.rfind, marked.find
 
-    def longest_match(matcher: _SuffixMatcher, i0: int) -> tuple[int, int | None]:
-        # the greedy loop asks once per phrase start, in order, and every
-        # start after the first ends the phrase before it
-        if i0:
-            marked[order[i0]] = 1
-        ell = min(matcher.longest_earlier_match(i0)[0], i0)
-        while ell:
-            # an end e < ell cannot pass; it is tested before slicing from e - ell
-            pat = buf[4 * i0:4 * (i0 + ell)]
-            q = order[i0 + ell]
-            best = i0 + 1
-            r = rfind(1, 0, q)
-            while r >= 0:
-                e = prefix[r]
-                if e < ell or buf[4 * (e - ell):4 * e] != pat:
-                    break
-                if e < best:
-                    best = e
-                r = rfind(1, 0, r)
-            r = find(1, q)
-            while r >= 0:
-                e = prefix[r]
-                if e < ell or buf[4 * (e - ell):4 * e] != pat:
-                    break
-                if e < best:
-                    best = e
-                r = find(1, r + 1)
-            if best <= i0:
-                return ell, best - ell
-            ell -= 1
-        return 0, None
+        def longest_match(i0: int) -> tuple[int, int | None]:
+            # the greedy loop asks once per phrase start, in order, and every
+            # start after the first ends the phrase before it
+            if i0:
+                marked[order[i0]] = 1
+            ell = min(earlier(i0)[0], i0)
+            while ell:
+                # an end e < ell cannot pass; it is tested before slicing from e - ell
+                pat = buf[4 * i0:4 * (i0 + ell)]
+                q = order[i0 + ell]
+                best = i0 + 1
+                r = rfind(1, 0, q)
+                while r >= 0:
+                    e = prefix[r]
+                    if e < ell or buf[4 * (e - ell):4 * e] != pat:
+                        break
+                    if e < best:
+                        best = e
+                    r = rfind(1, 0, r)
+                r = find(1, q)
+                while r >= 0:
+                    e = prefix[r]
+                    if e < ell or buf[4 * (e - ell):4 * e] != pat:
+                        break
+                    if e < best:
+                        best = e
+                    r = find(1, r + 1)
+                if best <= i0:
+                    return ell, best - ell
+                ell -= 1
+            return 0, None
 
-    return _greedy_parse(w, ctx, longest_match, "lz_end_greedy")
+        return longest_match
+
+    return _greedy_parse(w, ctx, rule, "lz_end_greedy")
 
 
 def lz_end_optimal(

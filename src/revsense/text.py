@@ -24,11 +24,14 @@ class Text:
     names: dict[int, str] | None = None
 
     def __post_init__(self) -> None:
-        if self.symbols and min(self.symbols) < 0:
+        # a name table is checked against every rank it may show: the
+        # present ranks, whose default names it must not repeat, and its keys
+        ranks = self.symbols if self.names is None else set(self.symbols)
+        if ranks and min(ranks) < 0:
             raise ValueError("symbol ranks must be non-negative")
         if self.names is not None:
-            vals = list(self.names.values())
-            if len(set(vals)) != len(vals):
+            shown = ranks.union(self.names)
+            if len({self.name_of(r) for r in shown}) != len(shown):
                 raise ValueError("display names must be unique")
 
     # Equality and hashing ignore the name table: the same rank sequence
@@ -59,12 +62,11 @@ class Text:
             return chr(rank)
         return f"<{rank}>"
 
-    def display(self, sep: str | None = None) -> str:
+    def display(self) -> str:
         """Human-readable form; single-character alphabets concatenate,
         everything else joins tokens with a space."""
         parts = [self.name_of(r) for r in self.symbols]
-        if sep is None:
-            sep = "" if all(len(p) == 1 for p in parts) else " "
+        sep = "" if all(len(p) == 1 for p in parts) else " "
         return sep.join(parts)
 
     def __repr__(self) -> str:
@@ -91,31 +93,6 @@ def reverse(w: Text) -> Text:
     return Text(w.symbols[::-1], w.names)
 
 
-@dataclass(frozen=True)
-class RunLengthEncoding:
-    """Maximal equal-symbol runs, as (symbol, count) pairs."""
-
-    runs: tuple[tuple[int, int], ...]
-    names: dict[int, str] | None = None
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    def display(self) -> str:
-        t = Text((), self.names)
-        return " ".join(f"({t.name_of(s)},{c})" for s, c in self.runs)
-
-
-def rle(w: Text) -> RunLengthEncoding:
-    runs: list[tuple[int, int]] = []
-    for sym in w.symbols:
-        if runs and runs[-1][0] == sym:
-            runs[-1] = (sym, runs[-1][1] + 1)
-        else:
-            runs.append((sym, 1))
-    return RunLengthEncoding(tuple(runs), w.names)
-
-
 def lyndon_starts(w: Text) -> tuple[int, ...]:
     """Start positions of the factors of the unique factorization
     of w into non-increasing Lyndon words (Duval, J. Algorithms 1983).
@@ -139,12 +116,6 @@ def lyndon_starts(w: Text) -> tuple[int, ...]:
         starts.extend(range(i, k + 1, step))
         i += ((k - i) // step + 1) * step
     return tuple(starts)
-
-
-def lyndon_factorize(w: Text) -> list[Text]:
-    """Unique factorization into non-increasing Lyndon factors."""
-    bounds = lyndon_starts(w) + (len(w),)
-    return [w[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def is_lyndon(w: Text) -> bool:

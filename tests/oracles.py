@@ -1,18 +1,50 @@
-"""Independent brute-force oracles for differential tests.
+"""Independent brute-force oracles for differential tests, and the text
+helpers that only tests use.
 
-Everything here works directly from definitions on plain symbol tuples,
+The oracles work directly from definitions on plain symbol tuples,
 deliberately sharing no machinery with the library implementations; the
 suffix-structure oracles take a Text and return the library's
-SuffixContext only so that results compare with ==.
+SuffixContext only so that results compare with ==.  `rle` and
+`lyndon_factorize` are conveniences over Text: the run-length encoding
+that run counts are checked against, and the factors that
+`text.lyndon_starts` delimits.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
 from revsense.suffixes import SuffixContext
+from revsense.text import Text, lyndon_starts
+
+
+@dataclass(frozen=True)
+class RunLengthEncoding:
+    """Maximal equal-symbol runs, as (symbol, count) pairs."""
+
+    runs: tuple[tuple[int, int], ...]
+
+    def __len__(self) -> int:
+        return len(self.runs)
+
+
+def rle(w: Text) -> RunLengthEncoding:
+    runs: list[tuple[int, int]] = []
+    for sym in w.symbols:
+        if runs and runs[-1][0] == sym:
+            runs[-1] = (sym, runs[-1][1] + 1)
+        else:
+            runs.append((sym, 1))
+    return RunLengthEncoding(tuple(runs))
+
+
+def lyndon_factorize(w: Text) -> list[Text]:
+    """Unique factorization into non-increasing Lyndon factors."""
+    bounds = lyndon_starts(w) + (len(w),)
+    return [w[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def random_symbols(rng: random.Random, max_n: int, alphabets=(2, 3, 5), min_n: int = 1):

@@ -30,11 +30,12 @@ from revsense.lexparse import lex_parse
 from revsense.lz import lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
 from revsense.measures import right_extension_count, substring_complexity
 from revsense.suffixes import build_suffix_context, cyclic_rotation_order
-from revsense.text import Text, concat, is_lyndon, lyndon_factorize, reverse
+from revsense.text import Text, concat, is_lyndon, reverse
 
 from oracles import (
     brute_lz_shape,
     left_source_optimal_size,
+    lyndon_factorize,
     naive_cyclic_rotation_order,
     naive_suffix_context,
     random_symbols,

@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 from revsense.bwt import bbwt, bwt, bwt_sentinel
 from revsense.families import FamilySpec, generate, predict_transform
 from revsense.suffixes import build_suffix_context
-from revsense.text import Text, is_lyndon, lyndon_factorize, reverse, rle
+from revsense.text import Text, is_lyndon, reverse
 
-from oracles import brute_bbwt, random_symbols
+from oracles import brute_bbwt, lyndon_factorize, random_symbols, rle
 
 nonempty_texts = st.lists(st.integers(0, 4), min_size=1, max_size=48).map(lambda s: Text(tuple(s)))
 

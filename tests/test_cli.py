@@ -85,6 +85,17 @@ def test_measure_matches_library(capsys):
                      f"v={reports['v'].value_fwd}", f"delta={reports['delta'].value_fwd}"]
 
 
+def test_measure_lines_follow_the_given_order(capsys):
+    from revsense.families import FamilySpec, generate
+    from revsense.harness import evaluate
+    ids = ["z", "z", "v"]
+    values = evaluate(generate(FamilySpec("c_fib", 9)), ids)
+    assert all(exact for _, exact in values) and values[0] != values[2]
+    assert run_cli("measure", "--family", "c_fib", "--param", "9", "--measures", "z,z,v") == 0
+    assert capsys.readouterr().out == "".join(
+        f"{m}={value}\n" for m, (value, _) in zip(ids, values))
+
+
 def test_measure_inexact_suffix(capsys):
     # z < z_e on the witness forces the search; budget 1 exhausts immediately
     assert run_cli("measure", "--family", "t55", "--measures", "z_end",

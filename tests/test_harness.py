@@ -7,7 +7,7 @@ from revsense.families import FamilySpec, generate
 from revsense.harness import (
     MEASURE_IDS,
     MEASURES,
-    measure_value,
+    evaluate,
     rows_from_csv,
     rows_to_csv,
     sensitivity_report,
@@ -62,7 +62,43 @@ def test_report_validation():
     with pytest.raises(ValueError):
         sensitivity_report(Text(()), ["r"])
     with pytest.raises(KeyError):
-        measure_value(Text((0,)), "nope")
+        evaluate(Text((0,)), ["nope"])
+    with pytest.raises(ValueError):
+        evaluate(Text(()), ["r"])
+
+
+def test_evaluate_checks_every_id_before_computing(monkeypatch):
+    from revsense import harness
+    builds = []
+    build = harness.build_suffix_context
+    monkeypatch.setattr(harness, "build_suffix_context",
+                        lambda w: builds.append(w) or build(w))
+    with pytest.raises(KeyError, match="nope"):
+        evaluate(Text.from_str("abaab"), ["z", "nope"])
+    assert builds == []
+
+
+def test_evaluate_keeps_the_given_order():
+    w = generate(FamilySpec("u_k", 4))
+    ids = ["z", "v", "z", "r", "delta"]
+    reports = {r.measure: r for r in sensitivity_report(w, ids)}
+    assert evaluate(w, ids) == [(reports[m].value_fwd, True) for m in ids]
+    assert evaluate(w, iter(ids)) == evaluate(w, ids)
+
+
+def test_report_without_lz_builds_no_matcher(monkeypatch):
+    from revsense import lz
+    builds = []
+    init = lz._SuffixMatcher.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(lz._SuffixMatcher, "__init__", counted)
+    for w in (Text.from_str("abracadabracabra"), generate(FamilySpec("c_fib_rev", 11))):
+        sensitivity_report(w, ["v", "delta", "e"])
+    assert builds == []
 
 
 @pytest.mark.parametrize("big", [2**63, 2**64 + 5, 10**30])

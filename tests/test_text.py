@@ -4,19 +4,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from revsense.text import (
-    Text,
-    concat,
-    is_lyndon,
-    lyndon_factorize,
-    lyndon_starts,
-    occurrences,
-    reverse,
-    rle,
-)
+from revsense.text import Text, concat, is_lyndon, lyndon_starts, occurrences, reverse
 from revsense.families import FamilySpec, fibonacci_word, generate
 
-from oracles import brute_lyndon_starts, omega_compare
+from oracles import brute_lyndon_starts, lyndon_factorize, omega_compare, rle
 
 texts = st.lists(st.integers(0, 4), min_size=0, max_size=60).map(lambda s: Text(tuple(s)))
 nonempty_texts = st.lists(st.integers(0, 4), min_size=1, max_size=60).map(lambda s: Text(tuple(s)))
@@ -194,3 +185,22 @@ def test_text_validation():
         Text((0, 1), {0: "a", 1: "a"})
     # names do not affect equality
     assert Text((0, 1), {0: "x", 1: "y"}) == Text((0, 1))
+
+
+@pytest.mark.parametrize("symbols, names", [
+    ((0, 97), {0: "a"}),            # a table name repeats a present default name
+    ((1, 200), {1: "<200>"}),
+    ((5,), {0: "x", 1: "<5>"}),     # so does the name of a key that is absent
+    ((-1,), {-1: "x"}),
+])
+def test_name_table_cannot_repeat_a_shown_name(symbols, names):
+    with pytest.raises(ValueError):
+        Text(symbols, names)
+
+
+def test_name_table_beside_default_names():
+    from revsense.bwt import bwt_sentinel
+    w = Text((0, 98, 200), {0: "a", 1: "<201>"})
+    assert w.display() == "a b <200>"
+    assert bwt_sentinel(w).output.display() == "<200> $ a b"
+    assert Text((97,), {97: "a"}).display() == "a"
