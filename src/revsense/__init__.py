@@ -14,7 +14,6 @@ from .families import (
     Prediction,
     T55,
     central_word,
-    fib_property_check,
     fibonacci_word,
     generate,
     predict,
@@ -37,6 +36,6 @@ from .lexparse import lex_parse
 from .lz import Parsing, Phrase, lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
 from .measures import right_extension_count, substring_complexity
 from .suffixes import SuffixContext, build_suffix_context, cyclic_rotation_order
-from .text import Text, concat, is_lyndon, lyndon_starts, occurrences, reverse
+from .text import Text, lyndon_starts, reverse
 
 __version__ = "0.1.0"

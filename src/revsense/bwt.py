@@ -2,19 +2,22 @@
 
 * bwt          -- last column of the sorted rotation matrix; r = run count.
 * bwt_sentinel -- BWT of w extended with a symbol smaller than all of
-                  w's symbols; r_dollar = run count.
+                  w's symbols; r_dollar = run count.  Its rotation order
+                  is read off w's suffix array, not sorted again.
 * bbwt         -- bijective variant: last characters of all rotations of
                   all Lyndon factors, in omega-order; r_b = run count.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .suffixes import cyclic_rotation_order
+from .suffixes import SuffixContext, build_suffix_context, cyclic_rotation_order
 from .text import Text, lyndon_starts
 from .textio import SENTINEL_NAME
 
@@ -26,34 +29,54 @@ class TransformResult:
     variant: str
 
 
-def _cycle_transform(w: Text, starts: Sequence[int], variant: str) -> TransformResult:
+def _cycle_transform(
+    w: Text, starts: Sequence[int], variant: str, order: Sequence[int] | None = None
+) -> TransformResult:
     """Last symbols of the rotations of the cycles of w (the factors that
     begin at `starts`) in cyclic_rotation_order, and their run count.  A
     rotation's last symbol is the predecessor of its start within its
-    cycle."""
+    cycle.  `order` is that rotation order when the caller already has it."""
     n = len(w)
-    first = np.asarray(starts)
+    if order is None:
+        order = cyclic_rotation_order(w, starts)
+    first = np.fromiter(starts, dtype=np.int64, count=len(starts))
     # predecessor within each cycle; a cycle's first position wraps to its last
     pred = np.arange(-1, n - 1)
     pred[first] = np.append(first[1:], n) - 1
-    out = np.asarray(w.symbols)[pred[np.asarray(cyclic_rotation_order(w, starts))]]
+    try:
+        symbols = np.fromiter(w.symbols, dtype=np.int64, count=n)
+    except OverflowError:   # ranks past 2^63 stay exact Python ints
+        symbols = np.asarray(w.symbols, dtype=object)
+    out = symbols[pred[np.fromiter(order, dtype=np.int64, count=n)]]
     runs = 1 + int(np.count_nonzero(out[1:] != out[:-1]))
     return TransformResult(Text(tuple(out.tolist()), w.names), runs, variant)
 
 
-def bwt(w: Text) -> TransformResult:
-    """Plain BWT over the rotations of w itself (no sentinel)."""
+def bwt(w: Text, order: Sequence[int] | None = None) -> TransformResult:
+    """Plain BWT over the rotations of w itself (no sentinel).
+
+    `order` is the rotation order of w, as cyclic_rotation_order(w) gives
+    it, when the caller already has one; without it the rotations are
+    sorted.  An order of the wrong length is refused.
+    """
     if len(w) == 0:
         raise ValueError("BWT requires a non-empty text")
-    return _cycle_transform(w, (0,), "plain")
+    if order is not None and len(order) != len(w):
+        raise ValueError(f"a rotation order of {len(order)} starts for a text of length {len(w)}")
+    return _cycle_transform(w, (0,), "plain", order)
 
 
-def bwt_sentinel(w: Text) -> TransformResult:
+def bwt_sentinel(w: Text, ctx: SuffixContext | None = None) -> TransformResult:
     """BWT of w with an appended minimal sentinel.
 
     The output alphabet is shifted: every input rank r becomes r+1, still
     displayed as r was, and the sentinel is rank 0, displayed as "$".  An
     input symbol displayed as "$" is refused.
+
+    The suffix sort puts a shorter suffix before a longer one it prefixes,
+    so the rotation order of w$ is the `$` rotation, then w's suffix
+    array.  `ctx` is w's suffix context when the caller already has it;
+    otherwise it is built here.
     """
     if len(w) == 0:
         raise ValueError("BWT requires a non-empty text")
@@ -61,8 +84,10 @@ def bwt_sentinel(w: Text) -> TransformResult:
     if SENTINEL_NAME in names.values():
         raise ValueError("input already contains the sentinel symbol")
     names[0] = SENTINEL_NAME
-    shifted = Text(tuple(r + 1 for r in w.symbols) + (0,), names)
-    res = bwt(shifted)
+    if ctx is None:
+        ctx = build_suffix_context(w)
+    shifted = Text((*map(operator.add, w.symbols, repeat(1)), 0), names)
+    res = bwt(shifted, (len(w),) + ctx.sa)
     return TransformResult(res.output, res.run_count, "sentinel")
 
 

@@ -211,10 +211,11 @@ def cmd_show(args: argparse.Namespace) -> int:
         starts = (0,) if args.view == "bwt" else lyndon_starts(w)
         bounds = starts + (len(s),)
         rows = []
-        for p in cyclic_rotation_order(w, starts):
+        order = cyclic_rotation_order(w, starts)
+        for p in order:
             i = bisect_right(starts, p)
             rows.append(s[p:bounds[i]] + s[bounds[i - 1]:p])
-        result = bwt(w) if args.view == "bwt" else bbwt(w)
+        result = bwt(w, order) if args.view == "bwt" else bbwt(w)
         for i, rot in enumerate(rows, start=1):
             body = " ".join(w.name_of(r) for r in rot[:-1])
             lines.append(f"{i:>4}  {body} | {w.name_of(rot[-1])}")

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .text import Text, concat, is_lyndon, occurrences, reverse
+from .text import Text, reverse
 
 T55 = "abaaababaabababbabaaababaaababaaababaabababaabababababa"
 
@@ -339,45 +339,3 @@ def transform_predictions(spec: FamilySpec) -> tuple[tuple[str, Text], ...]:
     if spec.family not in ("u_k", "u_k_rev"):
         return ()
     return tuple((v, predict_transform(spec, v)) for v in ("plain", "bijective"))
-
-
-# ---------------------------------------------------------------------------
-# Fibonacci word property suite
-
-@dataclass(frozen=True)
-class FibPropertyReport:
-    """Direct evaluation of the five structural central-word properties."""
-
-    palindrome: bool            # C_k reads the same both ways
-    telescoped_product: bool    # C_k = F_(k-2) F_(k-3) ... F_3 F_2
-    bracket_lyndon: bool        # a C_k b is a Lyndon word
-    triple_occurrence: bool     # F_(k-2) occurs in F_k exactly at 1, f_(k-2)+1, f_(k-1)+1
-    parity_suffix: bool         # F_k = C_k * (ab|ba) and F_(k-2)F_(k-1) = C_k * (ba|ab)
-
-    def all_hold(self) -> bool:
-        return all(
-            (self.palindrome, self.telescoped_product, self.bracket_lyndon,
-             self.triple_occurrence, self.parity_suffix)
-        )
-
-
-def fib_property_check(k: int) -> FibPropertyReport:
-    if k < 6:
-        raise ValueError(f"property suite needs k >= 6, got {k}")
-    f_k = fibonacci_word(k)
-    f_k1 = fibonacci_word(k - 1)
-    f_k2 = fibonacci_word(k - 2)
-    c_k = central_word(k)
-    a = Text((0,), _FIB_NAMES)
-    b = Text((1,), _FIB_NAMES)
-    ab = Text((0, 1), _FIB_NAMES)
-    ba = Text((1, 0), _FIB_NAMES)
-
-    palindrome = c_k == reverse(c_k)
-    telescoped = c_k == concat(*(fibonacci_word(i) for i in range(k - 2, 1, -1)))
-    bracket = is_lyndon(concat(a, c_k, b))
-    expected_positions = [1, len(f_k2) + 1, len(f_k1) + 1]
-    triple = occurrences(f_k2, f_k) == expected_positions
-    tail, other = (ab, ba) if k % 2 else (ba, ab)
-    parity = f_k == concat(c_k, tail) and concat(f_k2, f_k1) == concat(c_k, other)
-    return FibPropertyReport(palindrome, telescoped, bracket, triple, parity)

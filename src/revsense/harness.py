@@ -36,7 +36,8 @@ DEFAULT_NODE_BUDGET = 10**6
 
 
 class _MeasureRunner:
-    """Evaluates measures on one text, sharing the suffix context."""
+    """Evaluates measures on one text, sharing the suffix context; r_dollar
+    reads its rotation order of w$ off it too, so it sorts nothing."""
 
     def __init__(self, w: Text, node_budget: int = DEFAULT_NODE_BUDGET):
         self.w = w
@@ -78,7 +79,7 @@ MEASURES: dict[str, Callable[[_MeasureRunner], tuple[object, bool]]] = {
     "e": lambda t: (right_extension_count(t.w, t.ctx), True),
     "r": lambda t: (t.plain.run_count, True),
     "r_b": lambda t: (t.bijective.run_count, True),
-    "r_dollar": lambda t: (bwt_sentinel(t.w).run_count, True),
+    "r_dollar": lambda t: (bwt_sentinel(t.w, t.ctx).run_count, True),
     "v": lambda t: (len(lex_parse(t.w, t.ctx)), True),
     "z": lambda t: (len(t.lz), True),
     "z_e": lambda t: (len(t.lz_end), True),

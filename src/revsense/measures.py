@@ -37,23 +37,17 @@ from .text import Text
 
 
 def _substring_counts(w: Text, ctx: SuffixContext | None) -> np.ndarray:
+    """counts[k-1] = number of distinct length-k substrings, for k in [1, n]:
+    (#suffixes of length >= k) - (#LCP entries >= k)."""
     if len(w) == 0:
         raise ValueError("substring counts require a non-empty text")
     if ctx is None:
         ctx = build_suffix_context(w)
     n = len(w)
+    lcp = np.fromiter(ctx.lcp, dtype=np.int64, count=n)
     # geq[k] = number of LCP entries >= k
-    geq = np.bincount(np.asarray(ctx.lcp), minlength=n + 1)[::-1].cumsum()[::-1]
+    geq = np.bincount(lcp, minlength=n + 1)[::-1].cumsum()[::-1]
     return np.arange(n, 0, -1) - geq[1:]     # n - k + 1 suffixes of length >= k
-
-
-def distinct_substring_counts(w: Text, ctx: SuffixContext | None = None) -> list[int]:
-    """counts[k-1] = number of distinct length-k substrings, for k in [1, n].
-
-    Distinct substrings of length k are suffix prefixes minus repeats:
-    (#suffixes of length >= k) - (#LCP entries >= k).
-    """
-    return _substring_counts(w, ctx).tolist()
 
 
 def substring_complexity(w: Text, ctx: SuffixContext | None = None) -> Fraction:

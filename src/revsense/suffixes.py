@@ -58,9 +58,13 @@ class SuffixContext:
 
 def _initial_ranks(symbols: tuple[int, ...]) -> np.ndarray:
     alphabet = sorted(set(symbols))
-    # int64 while the symbols fit; past 2^63 numpy picks uint64 or object
-    dtype = None if alphabet and alphabet[-1] >> 63 else np.int64
-    ranks = np.searchsorted(np.array(alphabet, dtype=dtype), np.asarray(symbols, dtype=dtype))
+    if alphabet and alphabet[-1] >> 63:
+        # past 2^63 the ranks stay exact Python ints: numpy alone would
+        # take a mix of them and small ranks as float64 and merge neighbours
+        ranks = np.searchsorted(np.array(alphabet, dtype=object), np.array(symbols, dtype=object))
+    else:
+        ranks = np.searchsorted(np.array(alphabet, dtype=np.int64),
+                                np.fromiter(symbols, dtype=np.int64, count=len(symbols)))
     return ranks.astype(np.int32)
 
 
@@ -146,19 +150,23 @@ def _suffix_sort(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     smallest symbol, so it ranks the cycle of w$ and drops the `$`.
 
     The LCP comes from the rounds' ids (Manber & Myers): the final round
-    makes every 2^J-symbol read distinct, so each adjacent pair (a, b)
-    has LCP < 2^J, and h grows by 2^j wherever round j's ids at a + h and
-    b + h agree, from j = J - 1 down.  Equal reads cannot hold the unique
-    `$`, so a + h and b + h never pass it.
+    makes every 2^J-symbol read distinct, so each adjacent pair has LCP
+    < 2^J.  The pair's read positions a and b start at its two suffixes
+    and both move on by 2^j wherever round j's ids at a and b agree, from
+    j = J - 1 down; the LCP is how far they moved.  Equal reads cannot
+    hold the unique `$`, so a and b never pass it.
     """
     n = len(symbols)
     levels = list(_doubling_rounds(*_sentinel_cycle(_initial_ranks(symbols)), n + 1))
     sa = _inverse(levels.pop())[1:]
-    lcp = np.zeros(n, dtype=np.int64)
-    a, b, h = sa[:-1], sa[1:], lcp[1:]
+    a, b = sa[:-1].astype(np.int64), sa[1:].astype(np.int64)
     while levels:
         ids = levels.pop()
-        h += (ids[a + h] == ids[b + h]) << len(levels)
+        step = (ids[a] == ids[b]) << len(levels)
+        a += step
+        b += step
+    lcp = np.zeros(n, dtype=np.int64)
+    lcp[1:] = a - sa[:-1]
     return sa, lcp
 
 

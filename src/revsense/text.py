@@ -6,8 +6,7 @@ rank -> display-name table so that synthetic alphabets (a_1 < ... <
 a_s, interleaved marker symbols, ...) print readably.  All operations
 here are pure functions on immutable values.
 
-Lyndon factor starts are 0-based, like indexing and slicing a Text;
-occurrence starts are 1-based, as the paper reports positions.
+Lyndon factor starts are 0-based, like indexing and slicing a Text.
 """
 
 from __future__ import annotations
@@ -78,17 +77,6 @@ class Text:
         return cls(tuple(ord(c) for c in s), {ord(c): c for c in set(s)})
 
 
-def concat(*parts: Text) -> Text:
-    """Concatenate texts, merging their name tables."""
-    names: dict[int, str] = {}
-    symbols: list[int] = []
-    for p in parts:
-        if p.names:
-            names.update(p.names)
-        symbols.extend(p.symbols)
-    return Text(tuple(symbols), names or None)
-
-
 def reverse(w: Text) -> Text:
     return Text(w.symbols[::-1], w.names)
 
@@ -116,40 +104,3 @@ def lyndon_starts(w: Text) -> tuple[int, ...]:
         starts.extend(range(i, k + 1, step))
         i += ((k - i) // step + 1) * step
     return tuple(starts)
-
-
-def is_lyndon(w: Text) -> bool:
-    """True iff w is strictly smaller than all of its proper suffixes,
-    that is, iff w is its own only Lyndon factor."""
-    if len(w) == 0:
-        raise ValueError("the empty text is not eligible for the Lyndon test")
-    return lyndon_starts(w) == (0,)
-
-
-def occurrences(pattern: Text, text: Text) -> list[int]:
-    """All 1-based start positions of pattern in text (overlaps included), via KMP."""
-    if len(pattern) == 0:
-        raise ValueError("pattern must be non-empty")
-    p, t = pattern.symbols, text.symbols
-    m, n = len(p), len(t)
-    if m > n:
-        return []
-    fail = [0] * m
-    k = 0
-    for i in range(1, m):
-        while k and p[i] != p[k]:
-            k = fail[k - 1]
-        if p[i] == p[k]:
-            k += 1
-        fail[i] = k
-    out: list[int] = []
-    k = 0
-    for i, c in enumerate(t):
-        while k and c != p[k]:
-            k = fail[k - 1]
-        if c == p[k]:
-            k += 1
-            if k == m:
-                out.append(i - m + 2)
-                k = fail[k - 1]
-    return out

@@ -8,6 +8,12 @@ SuffixContext only so that results compare with ==.  `rle` and
 `lyndon_factorize` are conveniences over Text: the run-length encoding
 that run counts are checked against, and the factors that
 `text.lyndon_starts` delimits.
+
+The helpers at the end are test-only API over the library: `concat`,
+`is_lyndon` (from `text.lyndon_starts`), KMP `occurrences` (1-based, as
+the paper reports positions), the per-length counts that `delta` maximizes
+(`distinct_substring_counts`), and the five central-word properties of
+the Fibonacci words (`fib_property_check`).
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 
+from revsense import measures
+from revsense.families import central_word, fibonacci_word
 from revsense.suffixes import SuffixContext
-from revsense.text import Text, lyndon_starts
+from revsense.text import Text, lyndon_starts, reverse
 
 
 @dataclass(frozen=True)
@@ -303,3 +311,97 @@ def kasai_lcp(s, sa):
         if k:
             k -= 1
     return tuple(lcp)
+
+
+def concat(*parts: Text) -> Text:
+    """Concatenate texts, merging their name tables."""
+    names: dict[int, str] = {}
+    symbols: list[int] = []
+    for p in parts:
+        if p.names:
+            names.update(p.names)
+        symbols.extend(p.symbols)
+    return Text(tuple(symbols), names or None)
+
+
+def is_lyndon(w: Text) -> bool:
+    """True iff w is strictly smaller than all of its proper suffixes,
+    that is, iff w is its own only Lyndon factor."""
+    if len(w) == 0:
+        raise ValueError("the empty text is not eligible for the Lyndon test")
+    return lyndon_starts(w) == (0,)
+
+
+def occurrences(pattern: Text, text: Text) -> list[int]:
+    """All 1-based start positions of pattern in text (overlaps included), via KMP."""
+    if len(pattern) == 0:
+        raise ValueError("pattern must be non-empty")
+    p, t = pattern.symbols, text.symbols
+    m, n = len(p), len(t)
+    if m > n:
+        return []
+    fail = [0] * m
+    k = 0
+    for i in range(1, m):
+        while k and p[i] != p[k]:
+            k = fail[k - 1]
+        if p[i] == p[k]:
+            k += 1
+        fail[i] = k
+    out: list[int] = []
+    k = 0
+    for i, c in enumerate(t):
+        while k and c != p[k]:
+            k = fail[k - 1]
+        if c == p[k]:
+            k += 1
+            if k == m:
+                out.append(i - m + 2)
+                k = fail[k - 1]
+    return out
+
+
+def distinct_substring_counts(w: Text, ctx: SuffixContext | None = None) -> list[int]:
+    """counts[k-1] = number of distinct length-k substrings, for k in [1, n],
+    as `measures.substring_complexity` reads them off the LCP array."""
+    return measures._substring_counts(w, ctx).tolist()
+
+
+@dataclass(frozen=True)
+class FibPropertyReport:
+    """Direct evaluation of the five structural central-word properties."""
+
+    palindrome: bool            # C_k reads the same both ways
+    telescoped_product: bool    # C_k = F_(k-2) F_(k-3) ... F_3 F_2
+    bracket_lyndon: bool        # a C_k b is a Lyndon word
+    triple_occurrence: bool     # F_(k-2) occurs in F_k exactly at 1, f_(k-2)+1, f_(k-1)+1
+    parity_suffix: bool         # F_k = C_k * (ab|ba) and F_(k-2)F_(k-1) = C_k * (ba|ab)
+
+    def all_hold(self) -> bool:
+        return all(
+            (self.palindrome, self.telescoped_product, self.bracket_lyndon,
+             self.triple_occurrence, self.parity_suffix)
+        )
+
+
+def fib_property_check(k: int) -> FibPropertyReport:
+    if k < 6:
+        raise ValueError(f"property suite needs k >= 6, got {k}")
+    f_k = fibonacci_word(k)
+    f_k1 = fibonacci_word(k - 1)
+    f_k2 = fibonacci_word(k - 2)
+    c_k = central_word(k)
+    names = f_k.names
+    a = Text((0,), names)
+    b = Text((1,), names)
+    ab = Text((0, 1), names)
+    ba = Text((1, 0), names)
+
+    palindrome = c_k == reverse(c_k)
+    telescoped = c_k == concat(*(fibonacci_word(i) for i in range(k - 2, 1, -1)))
+    bracket = is_lyndon(concat(a, c_k, b))
+    expected_positions = [1, len(f_k2) + 1, len(f_k1) + 1]
+    triple = occurrences(f_k2, f_k) == expected_positions
+    tail, other = (ab, ba) if k % 2 else (ba, ab)
+    parity = f_k == concat(c_k, tail) and concat(f_k2, f_k1) == concat(c_k, other)
+    return FibPropertyReport(palindrome, telescoped, bracket, triple, parity)

@@ -20,7 +20,6 @@ from revsense.bwt import bbwt, bwt, bwt_sentinel
 from revsense.families import (
     FamilySpec,
     central_word,
-    fib_property_check,
     fibonacci_word,
     generate,
     predict_transform,
@@ -30,10 +29,13 @@ from revsense.lexparse import lex_parse
 from revsense.lz import lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
 from revsense.measures import right_extension_count, substring_complexity
 from revsense.suffixes import build_suffix_context, cyclic_rotation_order
-from revsense.text import Text, concat, is_lyndon, reverse
+from revsense.text import Text, reverse
 
 from oracles import (
     brute_lz_shape,
+    concat,
+    fib_property_check,
+    is_lyndon,
     left_source_optimal_size,
     lyndon_factorize,
     naive_cyclic_rotation_order,

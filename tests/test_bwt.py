@@ -8,10 +8,17 @@ from hypothesis import given, strategies as st
 
 from revsense.bwt import bbwt, bwt, bwt_sentinel
 from revsense.families import FamilySpec, generate, predict_transform
-from revsense.suffixes import build_suffix_context
-from revsense.text import Text, is_lyndon, reverse
+from revsense.suffixes import build_suffix_context, cyclic_rotation_order
+from revsense.text import Text, reverse
 
-from oracles import brute_bbwt, lyndon_factorize, random_symbols, rle
+from oracles import (
+    brute_bbwt,
+    is_lyndon,
+    lyndon_factorize,
+    naive_cyclic_rotation_order,
+    random_symbols,
+    rle,
+)
 
 nonempty_texts = st.lists(st.integers(0, 4), min_size=1, max_size=48).map(lambda s: Text(tuple(s)))
 
@@ -87,6 +94,46 @@ def test_bwt_matches_suffix_order_with_unique_terminal(w):
     sa = build_suffix_context(ext).sa
     expected = tuple(ext.symbols[p - 1] for p in sa)
     assert bwt(ext).output.symbols == expected
+
+
+def naive_sentinel_bwt(w):
+    """BWT of w$ over the shifted alphabet, from the naive rotation order."""
+    ext = Text(tuple(r + 1 for r in w.symbols) + (0,))
+    return tuple(ext.symbols[p - 1] for p in naive_cyclic_rotation_order(ext))
+
+
+def test_sentinel_reads_its_order_off_the_suffix_array():
+    rng = random.Random(45)
+    texts = []
+    for i in range(3000):
+        sigma = rng.choice((1, 2, 3, 5))
+        texts.append(Text(tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 39)))))
+        if i % 3 == 0:
+            # periodic blocks: repeated suffixes and runs of equal rotations
+            block = tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 6)))
+            texts.append(Text((block * 39)[:rng.randint(1, 39)]))
+    texts += [Text.from_str(s) for s in ("baabaaba", "mississippi", "abracadabra")]
+    texts += [generate(FamilySpec(f, p)) for f, p in
+              (("u_k", 3), ("u_k_rev", 4), ("T_p", 3), ("w_sigma", 6), ("c_fib_rev", 9))]
+    for w in texts:
+        expected = naive_sentinel_bwt(w)
+        names = {r + 1: w.name_of(r) for r in w.symbols} | {0: "$"}
+        for res in (bwt_sentinel(w), bwt_sentinel(w, build_suffix_context(w))):
+            assert res.output.symbols == expected, w
+            assert res.output.display() == Text(expected, names).display()
+            assert res.run_count == len(rle(res.output))
+
+
+def test_bwt_takes_a_rotation_order():
+    for w in (Text.from_str("baabaaba"), Text.from_str("aaaa"), generate(FamilySpec("u_k", 3)),
+              generate(FamilySpec("fib", 10))):
+        order = cyclic_rotation_order(w)
+        assert bwt(w, order) == bwt(w)
+        for wrong in (order[:-1], order + (0,)):
+            with pytest.raises(ValueError):
+                bwt(w, wrong)
+    with pytest.raises(ValueError):
+        bwt_sentinel(Text.from_str("abab"), build_suffix_context(Text.from_str("aba")))
 
 
 def test_bbwt_equals_bwt_on_lyndon_words():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from revsense.bwt import bwt, bwt_sentinel
 from revsense.families import FamilySpec, generate
 from revsense.harness import (
     MEASURE_IDS,
@@ -103,10 +104,40 @@ def test_report_without_lz_builds_no_matcher(monkeypatch):
 
 @pytest.mark.parametrize("big", [2**63, 2**64 + 5, 10**30])
 def test_symbols_past_int64(big):
-    # numpy holds these as uint64 or objects; only their order may matter
+    # numpy holds these as Python-int objects; only their order may matter
     w = Text((big, 1, big, 0, big, big, 1, 0, big))
     small = Text((2, 1, 2, 0, 2, 2, 1, 0, 2))
     assert sensitivity_report(w, MEASURE_IDS) == sensitivity_report(small, MEASURE_IDS)
+
+
+def test_neighbouring_symbols_past_int64_stay_apart():
+    # as float64, which numpy picks for 2^63 + 1 mixed with small ints,
+    # 2^63 + 1 and 2^63 + 2 are one value
+    big = 2**63
+    ranks = (big + 1, big + 2, 0, big + 1, big + 2, 0, big + 2)
+    w = Text(ranks)
+    small = Text(tuple(3 if r == big + 2 else 2 if r else 1 for r in ranks))
+    assert sensitivity_report(w, MEASURE_IDS) == sensitivity_report(small, MEASURE_IDS)
+    assert bwt(w).output.symbols == tuple(big + r - 1 if r > 1 else 0 for r in bwt(small).output)
+
+
+def test_r_dollar_reads_the_shared_suffix_sort(monkeypatch):
+    """delta sorts the suffixes of w, which are the rotations of w$, and
+    r sorts the rotations of w: two doubling runs, none for r_dollar."""
+    from revsense import suffixes
+    runs = []
+    rounds = suffixes._doubling_rounds
+
+    def counted(rank, succ, limit):
+        runs.append(len(rank))
+        return rounds(rank, succ, limit)
+
+    monkeypatch.setattr(suffixes, "_doubling_rounds", counted)
+    for w in (generate(FamilySpec("fib", 12)), Text.from_str("abracadabra")):
+        runs.clear()
+        r_dollar = evaluate(w, ["delta", "r", "r_dollar"])[2]
+        assert runs == [len(w) + 1, len(w)], runs
+        assert r_dollar == (bwt_sentinel(w).run_count, True)
 
 
 def test_measure_ids_complete():

@@ -6,15 +6,16 @@ from fractions import Fraction
 import pytest
 
 from revsense.families import FamilySpec, generate
-from revsense.measures import (
-    distinct_substring_counts,
-    right_extension_count,
-    substring_complexity,
-)
+from revsense.measures import right_extension_count, substring_complexity
 from revsense.suffixes import build_suffix_context
 from revsense.text import Text, reverse
 
-from oracles import brute_delta, brute_right_extensions, random_symbols
+from oracles import (
+    brute_delta,
+    brute_right_extensions,
+    distinct_substring_counts,
+    random_symbols,
+)
 
 
 def test_delta_examples():

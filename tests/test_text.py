@@ -4,10 +4,18 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from revsense.text import Text, concat, is_lyndon, lyndon_starts, occurrences, reverse
+from revsense.text import Text, lyndon_starts, reverse
 from revsense.families import FamilySpec, fibonacci_word, generate
 
-from oracles import brute_lyndon_starts, lyndon_factorize, omega_compare, rle
+from oracles import (
+    brute_lyndon_starts,
+    concat,
+    is_lyndon,
+    lyndon_factorize,
+    occurrences,
+    omega_compare,
+    rle,
+)
 
 texts = st.lists(st.integers(0, 4), min_size=0, max_size=60).map(lambda s: Text(tuple(s)))
 nonempty_texts = st.lists(st.integers(0, 4), min_size=1, max_size=60).map(lambda s: Text(tuple(s)))
