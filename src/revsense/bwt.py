@@ -35,10 +35,13 @@ def _cycle_transform(
     """Last symbols of the rotations of the cycles of w (the factors that
     begin at `starts`) in cyclic_rotation_order, and their run count.  A
     rotation's last symbol is the predecessor of its start within its
-    cycle.  `order` is that rotation order when the caller already has it."""
+    cycle.  `order` is that rotation order when the caller already has it;
+    one of the wrong length is refused."""
     n = len(w)
     if order is None:
         order = cyclic_rotation_order(w, starts)
+    elif len(order) != n:
+        raise ValueError(f"a rotation order of {len(order)} starts for a text of length {n}")
     first = np.fromiter(starts, dtype=np.int64, count=len(starts))
     # predecessor within each cycle; a cycle's first position wraps to its last
     pred = np.arange(-1, n - 1)
@@ -61,8 +64,6 @@ def bwt(w: Text, order: Sequence[int] | None = None) -> TransformResult:
     """
     if len(w) == 0:
         raise ValueError("BWT requires a non-empty text")
-    if order is not None and len(order) != len(w):
-        raise ValueError(f"a rotation order of {len(order)} starts for a text of length {len(w)}")
     return _cycle_transform(w, (0,), "plain", order)
 
 
@@ -91,7 +92,7 @@ def bwt_sentinel(w: Text, ctx: SuffixContext | None = None) -> TransformResult:
     return TransformResult(res.output, res.run_count, "sentinel")
 
 
-def bbwt(w: Text) -> TransformResult:
+def bbwt(w: Text, order: Sequence[int] | None = None) -> TransformResult:
     """Bijective BWT: rotations of the Lyndon factors in omega-order.
 
     Rotations are compared as infinite periodic strings and ordered by
@@ -101,7 +102,11 @@ def bbwt(w: Text) -> TransformResult:
     Ties (equal rotations across duplicated factors) keep factor order
     then rotation index; within a factor rotations are distinct because
     Lyndon words are primitive.
+
+    `order` is that rotation order, as cyclic_rotation_order(w,
+    lyndon_starts(w)) gives it, when the caller already has one; without
+    it the rotations are sorted.  An order of the wrong length is refused.
     """
     if len(w) == 0:
         raise ValueError("BBWT requires a non-empty text")
-    return _cycle_transform(w, lyndon_starts(w), "bijective")
+    return _cycle_transform(w, lyndon_starts(w), "bijective", order)

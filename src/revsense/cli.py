@@ -215,7 +215,7 @@ def cmd_show(args: argparse.Namespace) -> int:
         for p in order:
             i = bisect_right(starts, p)
             rows.append(s[p:bounds[i]] + s[bounds[i - 1]:p])
-        result = bwt(w, order) if args.view == "bwt" else bbwt(w)
+        result = (bwt if args.view == "bwt" else bbwt)(w, order)
         for i, rot in enumerate(rows, start=1):
             body = " ".join(w.name_of(r) for r in rot[:-1])
             lines.append(f"{i:>4}  {body} | {w.name_of(rot[-1])}")

@@ -24,6 +24,7 @@ character.  The variants differ only in which sources qualify:
 
 from __future__ import annotations
 
+import functools
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -46,18 +47,34 @@ class Phrase:
 
 @dataclass(frozen=True)
 class Parsing:
-    phrases: tuple[Phrase, ...]
+    """A tiling of a text into phrases, kept as ints: `bounds` holds the
+    0-based phrase starts followed by n, and `sources` the 0-based source
+    of each phrase, None for a literal.  Length, `shape()` and
+    `phrase_texts()` read these directly; `phrases`, the 1-based `Phrase`
+    values, is built on first access.  Two parsings are equal iff they
+    have the same phrases and variant."""
+
+    bounds: tuple[int, ...]
+    sources: tuple[int | None, ...]
     variant: str
 
     def __len__(self) -> int:
-        return len(self.phrases)
+        return len(self.sources)
+
+    @functools.cached_property
+    def phrases(self) -> tuple[Phrase, ...]:
+        b = self.bounds
+        return tuple(Phrase(i + 1, j - i, None if src is None else src + 1)
+                     for i, j, src in zip(b, b[1:], self.sources))
 
     def shape(self) -> tuple[tuple[int, int], ...]:
         """(start, length) pairs; two parsings factorize alike iff equal."""
-        return tuple((p.start, p.length) for p in self.phrases)
+        b = self.bounds
+        return tuple((i + 1, j - i) for i, j in zip(b, b[1:]))
 
     def phrase_texts(self, w: Text) -> list[Text]:
-        return [w[p.start - 1:p.end] for p in self.phrases]
+        b = self.bounds
+        return [w[i:j] for i, j in zip(b, b[1:])]
 
 
 class _SuffixMatcher:
@@ -159,22 +176,24 @@ def _greedy_parse(w: Text, ctx: SuffixContext | None, rule, variant: str) -> Par
     """Greedy phrase loop: `rule(ctx)` returns the per-position function,
     bound once per parse, that reports the longest qualifying source at i0
     as (length, source0), or (0, None) for a literal.  Every greedy parse
-    runs this loop, the lexicographic one (`lexparse.lex_parse`) included."""
+    runs this loop, the lexicographic one (`lexparse.lex_parse`) included.
+    It records each phrase as two ints, its start and source; no `Phrase`
+    is built unless `Parsing.phrases` is read."""
     if len(w) == 0:
         raise ValueError("cannot parse the empty text")
     longest_match = rule(ctx or build_suffix_context(w))
     n = len(w)
-    phrases: list[Phrase] = []
+    starts: list[int] = []
+    sources: list[int | None] = []
+    add_start, add_source = starts.append, sources.append
     i0 = 0
     while i0 < n:
         ell, src0 = longest_match(i0)
-        if ell == 0:
-            phrases.append(Phrase(i0 + 1, 1, None))
-            i0 += 1
-        else:
-            phrases.append(Phrase(i0 + 1, ell, src0 + 1))
-            i0 += ell
-    return Parsing(tuple(phrases), variant)
+        add_start(i0)
+        add_source(src0)
+        i0 += ell or 1
+    add_start(n)
+    return Parsing(tuple(starts), tuple(sources), variant)
 
 
 def lz_parse(w: Text, ctx: SuffixContext | None = None) -> Parsing:
@@ -300,7 +319,7 @@ def lz_end_optimal(
     greedy = greedy or lz_end_greedy(w, ctx)
     base = base or lz_parse(w, ctx)
     if len(base) == len(greedy):
-        return Parsing(greedy.phrases, "lz_end"), True
+        return Parsing(greedy.bounds, greedy.sources, "lz_end"), True
 
     s = w.symbols
     n = len(s)
@@ -314,10 +333,11 @@ def lz_end_optimal(
 
     match_memo: dict[int, list[int]] = {}
     best_count = len(greedy)
-    best_phrases = list(greedy.phrases)
+    # phrases as (start0, source0) pairs; a phrase's length is the gap to the next start
+    best_phrases = list(zip(greedy.bounds, greedy.sources))
     nodes = 0
     exhausted = False
-    path: list[Phrase] = []
+    path: list[tuple[int, int | None]] = []
     ends: list[int] = []
 
     def dfs(i0: int, count: int) -> None:
@@ -342,8 +362,7 @@ def lz_end_optimal(
         if 1 not in cands:
             moves.append(1)
         for ell in moves:
-            src0 = cands.get(ell)
-            path.append(Phrase(i0 + 1, ell, None if src0 is None else src0 + 1))
+            path.append((i0, cands.get(ell)))
             ends.append(i0 + ell)
             dfs(i0 + ell, count + 1)
             ends.pop()
@@ -357,4 +376,5 @@ def lz_end_optimal(
         dfs(0, 0)
     finally:
         sys.setrecursionlimit(old_limit)
-    return Parsing(tuple(best_phrases), "lz_end"), not exhausted
+    starts, sources = zip(*best_phrases)
+    return Parsing(starts + (n,), sources, "lz_end"), not exhausted

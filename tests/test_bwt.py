@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 from revsense.bwt import bbwt, bwt, bwt_sentinel
 from revsense.families import FamilySpec, generate, predict_transform
 from revsense.suffixes import build_suffix_context, cyclic_rotation_order
-from revsense.text import Text, reverse
+from revsense.text import Text, lyndon_starts, reverse
 
 from oracles import (
     brute_bbwt,
@@ -126,12 +126,13 @@ def test_sentinel_reads_its_order_off_the_suffix_array():
 
 def test_bwt_takes_a_rotation_order():
     for w in (Text.from_str("baabaaba"), Text.from_str("aaaa"), generate(FamilySpec("u_k", 3)),
-              generate(FamilySpec("fib", 10))):
-        order = cyclic_rotation_order(w)
-        assert bwt(w, order) == bwt(w)
-        for wrong in (order[:-1], order + (0,)):
-            with pytest.raises(ValueError):
-                bwt(w, wrong)
+              generate(FamilySpec("fib", 10)), generate(FamilySpec("fib_plus", 10))):
+        for transform, starts in ((bwt, (0,)), (bbwt, lyndon_starts(w))):
+            order = cyclic_rotation_order(w, starts)
+            assert transform(w, order) == transform(w)
+            for wrong in (order[:-1], order + (0,)):
+                with pytest.raises(ValueError):
+                    transform(w, wrong)
     with pytest.raises(ValueError):
         bwt_sentinel(Text.from_str("abab"), build_suffix_context(Text.from_str("aba")))
 

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import os
 import subprocess
 import sys
@@ -210,6 +211,27 @@ def test_show_bbwt(tmp_path, capsys):
         "   8   | b\n"
         "bbwt: abbaaaab   runs=4\n"
     )
+
+
+@pytest.mark.parametrize("family, param, digest", [
+    ("u_k", 3, "3cc37b631360224fa7e8ed70e348a7befa1dd016cb0b78ad556dfae54b23e370"),
+    ("fib_plus", 10, "9fe05c1db433692232cdf166f2ee588032d75eaec989c7bc1b1a6294ec8828b1"),
+])
+def test_show_bbwt_sorts_the_rotations_once(family, param, digest, monkeypatch, capsys):
+    bwt_module = sys.modules["revsense.bwt"]   # the package's `bwt` is the function
+    sorts = []
+    order = cli.cyclic_rotation_order
+
+    def counted(*args):
+        sorts.append(args)
+        return order(*args)
+
+    monkeypatch.setattr(cli, "cyclic_rotation_order", counted)
+    monkeypatch.setattr(bwt_module, "cyclic_rotation_order", counted)
+    assert run_cli("show", "--family", family, "--param", str(param), "--view", "bbwt") == 0
+    assert len(sorts) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_show_parse_views(tmp_path, capsys):

@@ -140,6 +140,30 @@ def test_r_dollar_reads_the_shared_suffix_sort(monkeypatch):
         assert r_dollar == (bwt_sentinel(w).run_count, True)
 
 
+def test_phrase_counts_build_no_phrases(monkeypatch):
+    """v, z, z_e, z_no and z_end read only the phrase count, so no Phrase
+    is built, not even by z_end's search."""
+    from revsense import lz
+    built = []
+    init = lz.Phrase.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(lz.Phrase, "__init__", counted)
+    rng = random.Random(18)
+    for w in (generate(FamilySpec("t55")), Text(tuple(rng.randrange(4) for _ in range(2000)))):
+        evaluate(w, ["v", "z", "z_e", "z_no"])
+        assert built == []
+    # z_end by the z == z_e shortcut, and by a search that beats the greedy z_e
+    assert evaluate(generate(FamilySpec("fib", 10)), ["z", "z_e", "z_end"]) == [(9, True)] * 3
+    w = Text.from_str("1001011010111")
+    assert evaluate(w, ["z", "z_e", "z_end"]) == [(8, True), (9, True), (8, True)]
+    assert built == []
+    assert len(lz.lz_parse(w).phrases) == len(built) == 8     # the counter sees them
+
+
 def test_measure_ids_complete():
     assert set(MEASURE_IDS) == {"delta", "e", "r", "r_b", "r_dollar", "v",
                                 "z", "z_e", "z_end", "z_no"}

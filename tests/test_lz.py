@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from revsense.families import FamilySpec, T55, generate
-from revsense.lz import _SuffixMatcher, lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
+from revsense.lexparse import lex_parse
+from revsense.lz import (
+    Parsing,
+    Phrase,
+    _SuffixMatcher,
+    lz_end_greedy,
+    lz_end_optimal,
+    lz_no_overlap,
+    lz_parse,
+)
 from revsense.suffixes import build_suffix_context
 from revsense.text import Text, reverse
 
@@ -279,6 +288,75 @@ def test_matcher_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+
+
+def test_parse_memory_is_compact():
+    # about 25k phrases kept as two tuples of ints hold 1.2 MB; one Phrase
+    # object per phrase held 4.0 MB
+    rng = random.Random(16)
+    w = Text(tuple(rng.randrange(4) for _ in range(2 * 10**5)))
+    ctx = build_suffix_context(w)
+    ctx.matcher
+    tracemalloc.start()
+    try:
+        p = lz_parse(w, ctx)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(p) > 20000
+    assert held < 2 * 2**20, held
+
+
+def _from_phrases(phrases, variant):
+    """The parsing whose phrases are the given explicit Phrase tuple."""
+    return Parsing(tuple(ph.start - 1 for ph in phrases) + (phrases[-1].end,),
+                   tuple(None if ph.source is None else ph.source - 1 for ph in phrases),
+                   variant)
+
+
+def _greedy_phrases(n, longest_match):
+    """The greedy loop written out over Phrase values."""
+    out, i0 = [], 0
+    while i0 < n:
+        ell, src0 = longest_match(i0)
+        ell = max(ell, 1)
+        out.append(Phrase(i0 + 1, ell, None if src0 is None else src0 + 1))
+        i0 += ell
+    return tuple(out)
+
+
+def test_compact_parsing_matches_explicit_phrases():
+    rng = random.Random(17)
+    searched = 0
+    for _ in range(400):
+        sigma = rng.choice((1, 2, 4))
+        w = Text(tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 59))))
+        s, n = w.symbols, len(w)
+        ctx = build_suffix_context(w)
+        sa, isa, lcp = ctx.sa, ctx.isa, ctx.lcp
+        opt = lz_end_optimal(w, node_budget=5000)[0]
+        searched += len(opt) < len(lz_end_greedy(w))
+        # the search's parsing has no independent oracle: it is checked by
+        # decoding and by the end-alignment constraints
+        assert decode_parsing(opt, w) == s and _source_constraints_ok(opt, w)
+        cases = [
+            (lz_parse(w), _greedy_phrases(n, ctx.matcher.longest_earlier_match)),
+            (lz_no_overlap(w), tuple(Phrase(*t) for t in brute_lz_no_overlap(s))),
+            (lz_end_greedy(w), tuple(Phrase(*t) for t in brute_lz_end_greedy(s))),
+            (lex_parse(w), _greedy_phrases(
+                n, lambda i: (lcp[isa[i]], sa[isa[i] - 1] if lcp[isa[i]] else None))),
+            (opt, opt.phrases),
+        ]
+        for p, ref in cases:
+            q = _from_phrases(ref, p.variant)
+            # equality and hashing do not need the phrases built
+            assert p == q and hash(p) == hash(q)
+            assert p != Parsing(p.bounds, p.sources, "other")
+            assert len(p) == len(ref)
+            assert p.shape() == tuple((ph.start, ph.length) for ph in ref)
+            assert p.phrase_texts(w) == [w[ph.start - 1:ph.end] for ph in ref]
+            assert p.phrases == ref and triples(p) == triples(q)
+    assert searched > 20
 
 
 def _timed_parse(parse, w):
