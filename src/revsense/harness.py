@@ -37,7 +37,8 @@ DEFAULT_NODE_BUDGET = 10**6
 
 class _MeasureRunner:
     """Evaluates measures on one text, sharing the suffix context; r_dollar
-    reads its rotation order of w$ off it too, so it sorts nothing."""
+    reads its rotation order of w$ off it too, so it sorts nothing.  z_e also
+    reads `rev_ctx`, the reversal's `ctx`; a report hands both to the reversal."""
 
     def __init__(self, w: Text, node_budget: int = DEFAULT_NODE_BUDGET):
         self.w = w
@@ -47,6 +48,10 @@ class _MeasureRunner:
     def ctx(self) -> SuffixContext:
         return build_suffix_context(self.w)
 
+    @functools.cached_property
+    def rev_ctx(self) -> SuffixContext:
+        return build_suffix_context(reverse(self.w))
+
     # z and z_e keep their parses, which z_end's search starts from
     @functools.cached_property
     def lz(self) -> Parsing:
@@ -54,7 +59,7 @@ class _MeasureRunner:
 
     @functools.cached_property
     def lz_end(self) -> Parsing:
-        return lz_end_greedy(self.w, self.ctx)
+        return lz_end_greedy(self.w, self.ctx, self.rev_ctx)
 
     # r and r_b keep their transforms, which verify checks against the closed
     # forms; named by transform_predictions' variants, looked up at call time
@@ -89,6 +94,15 @@ MEASURES: dict[str, Callable[[_MeasureRunner], tuple[object, bool]]] = {
 MEASURE_IDS = tuple(MEASURES)
 
 
+def _runner(w: Text, measures: list[str], node_budget: int) -> _MeasureRunner:
+    """A runner for w, once every id is known and w is not empty."""
+    if unknown := [m for m in measures if m not in MEASURES]:
+        raise KeyError(f"unknown measure id {unknown[0]!r}")
+    if len(w) == 0:
+        raise ValueError("measures require a non-empty text")
+    return _MeasureRunner(w, node_budget)
+
+
 def evaluate(
     w: Text, measures: Iterable[str], node_budget: int = DEFAULT_NODE_BUDGET
 ) -> list[tuple[object, bool]]:
@@ -96,12 +110,7 @@ def evaluate(
     False only for budget-limited z_end.  Every id is checked before
     anything is computed, and all measures share one suffix context."""
     measures = list(measures)
-    for m in measures:
-        if m not in MEASURES:
-            raise KeyError(f"unknown measure id {m!r}")
-    if len(w) == 0:
-        raise ValueError("measures require a non-empty text")
-    runner = _MeasureRunner(w, node_budget)
+    runner = _runner(w, measures, node_budget)
     return [MEASURES[m](runner) for m in measures]
 
 
@@ -128,9 +137,16 @@ def sensitivity_report(
 ) -> list[SensitivityReport]:
     """One report per measure id, ordered by measure id."""
     wanted = sorted(set(measures))
-    # one orientation at a time, so only one suffix context and matcher is alive
-    fwd = evaluate(w, wanted, node_budget)
-    rev = evaluate(reverse(w), wanted, node_budget)
+    runner = _runner(w, wanted, node_budget)
+    fwd = [MEASURES[m](runner) for m in wanted]
+    rev_runner = _MeasureRunner(reverse(w), node_budget)
+    if "rev_ctx" in vars(runner):
+        # z_e sorted reverse(w): hand that over, and w's arrays as the reversal's
+        # rev_ctx; w's matcher is left out, so it dies with `runner`
+        rev_runner.ctx = runner.rev_ctx
+        rev_runner.rev_ctx = SuffixContext(runner.ctx.sa, runner.ctx.isa, runner.ctx.lcp)
+    del runner
+    rev = [MEASURES[m](rev_runner) for m in wanted]
     return [_report(m, vf, vr, ef and er) for m, (vf, ef), (vr, er) in zip(wanted, fwd, rev)]
 
 

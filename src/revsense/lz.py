@@ -12,10 +12,10 @@ character.  The variants differ only in which sources qualify:
 * lz_end_greedy  -- source ends exactly at the end of a previously
                     produced phrase.  Such a source of length l ends at
                     e when w[:e] and w[:i0+l] share a suffix of length
-                    l, so it is found in the suffix order of reverse(w)
-                    next to the rank of w[:i0+l]; a phrase checks the
-                    lengths L, L-1, ... down to the first that has one,
-                    L - l + 1 checks for L = min(LPF(i0), i0).
+                    l, so it is found in the suffix context of
+                    reverse(w) next to the rank of w[:i0+l]; a phrase
+                    checks the lengths L, L-1, ... down to the first
+                    that has one, L - l + 1 checks for L = min(LPF(i0), i0).
 * lz_end_optimal -- minimum number of phrases over all parsings whose
                     sources end at earlier boundaries of that same
                     parsing; greedy end-aligned parsing is not optimal
@@ -30,8 +30,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .suffixes import SuffixContext, build_suffix_context, reverse_prefix_order
-from .text import Text
+from .suffixes import SuffixContext, _initial_ranks, build_suffix_context
+from .text import Text, reverse
 
 
 @dataclass(frozen=True)
@@ -232,58 +232,67 @@ def _end_aligned_candidates(
     return found
 
 
-def lz_end_greedy(w: Text, ctx: SuffixContext | None = None) -> Parsing:
+def lz_end_greedy(w: Text, ctx: SuffixContext | None = None,
+                  rev_ctx: SuffixContext | None = None) -> Parsing:
     """Greedy end-aligned LZ; phrase count = z_e(w).
 
     A source of length l for the phrase at i0 ends at an earlier phrase
     end e exactly when w[e-l:e] == w[i0:i0+l], that is, when the
-    prefixes w[:e] and w[:i0+l] share a suffix of length l.  In the
-    suffix order of reverse(w) (`reverse_prefix_order`) the ends that
-    pass form one run of ranks around the rank of w[:i0+l], so each l
-    is checked by stepping outward from that rank through the marked
-    ends while they still pass.  Feasible lengths are not downward
-    closed, so l runs down from L = min(LPF(i0), i0), the longest
-    earlier match bounding any source, and the first l that passes wins:
-    a phrase costs L - l + 1 checks.  The smallest passing end keeps the
-    leftmost source.
+    prefixes w[:e] and w[:i0+l] share a suffix of length l.  w[:p] read
+    backwards is the suffix of reverse(w) at n - p, so in the suffix order
+    of reverse(w), `rev_ctx` (built when not given; one of another length
+    is refused), the ends that pass form one run of ranks around the rank
+    of w[:i0+l]; each l is checked by stepping outward from that rank
+    through the marked ends while they still pass.  Feasible lengths are
+    not downward closed, so l runs down from L = min(LPF(i0), i0), the
+    longest earlier match bounding any source, and the first l that
+    passes wins: a phrase costs L - l + 1 checks.  The smallest passing
+    end keeps the leftmost source.
     """
+    n = len(w)
+    if rev_ctx is not None and len(rev_ctx) != n:
+        raise ValueError(f"a reverse suffix context of {len(rev_ctx)} suffixes for a text of length {n}")
+
     def rule(ctx: SuffixContext):
         earlier = ctx.matcher.longest_earlier_match
+        rev = rev_ctx or build_suffix_context(reverse(w))
+        # positions are reverse(w)'s: w[:e] is its suffix at n - e, of rank isa[n - e];
+        # buf holds its symbol ranks as int32 bytes, 4 per symbol, so slices compare in C
+        isa, sa, buf = rev.isa, rev.sa, _initial_ranks(w.symbols)[::-1].tobytes()
         # a byte of `marked` is 1 at the rank of a phrase end, so finding the
         # next one either way is a byte search in C, and marking one is a store
-        order, prefix, buf = reverse_prefix_order(w)
-        marked = bytearray(len(order))
+        marked = bytearray(n)
         rfind, find = marked.rfind, marked.find
 
         def longest_match(i0: int) -> tuple[int, int | None]:
             # the greedy loop asks once per phrase start, in order, and every
             # start after the first ends the phrase before it
             if i0:
-                marked[order[i0]] = 1
+                marked[isa[n - i0]] = 1
             ell = min(earlier(i0)[0], i0)
             while ell:
-                # an end e < ell cannot pass; it is tested before slicing from e - ell
-                pat = buf[4 * i0:4 * (i0 + ell)]
-                q = order[i0 + ell]
-                best = i0 + 1
-                r = rfind(1, 0, q)
+                # e < ell slices past buf's end and fails; the smallest end e has the largest x
+                k, q = 4 * ell, n - i0 - ell
+                pat = buf[4 * q:4 * q + k]
+                top = -1
+                r = rfind(1, 0, isa[q])
                 while r >= 0:
-                    e = prefix[r]
-                    if e < ell or buf[4 * (e - ell):4 * e] != pat:
+                    x = 4 * sa[r]
+                    if buf[x:x + k] != pat:
                         break
-                    if e < best:
-                        best = e
+                    if x > top:
+                        top = x
                     r = rfind(1, 0, r)
-                r = find(1, q)
+                r = find(1, isa[q])
                 while r >= 0:
-                    e = prefix[r]
-                    if e < ell or buf[4 * (e - ell):4 * e] != pat:
+                    x = 4 * sa[r]
+                    if buf[x:x + k] != pat:
                         break
-                    if e < best:
-                        best = e
+                    if x > top:
+                        top = x
                     r = find(1, r + 1)
-                if best <= i0:
-                    return ell, best - ell
+                if top >= 0:
+                    return ell, n - top // 4 - ell
                 ell -= 1
             return 0, None
 

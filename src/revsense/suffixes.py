@@ -133,17 +133,6 @@ def _doubling_ranks(rank: np.ndarray, succ: np.ndarray, limit: int) -> np.ndarra
     return rank
 
 
-def _sentinel_cycle(rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symbol ranks and successor permutation of the cycle w$, for w's
-    symbol ranks `rank`: `$` is rank 0 at position n and wraps to 0."""
-    n = len(rank)
-    succ = np.arange(1, n + 2, dtype=np.int64)
-    succ[n] = 0
-    cycle = np.zeros(n + 1, dtype=np.int32)
-    np.add(rank, 1, out=cycle[:n])
-    return cycle, succ
-
-
 def _suffix_sort(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Suffix array and LCP array; a shorter suffix precedes a longer one
     it prefixes.  This is the rotation order of w$, `$` being a unique
@@ -157,7 +146,9 @@ def _suffix_sort(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     hold the unique `$`, so a and b never pass it.
     """
     n = len(symbols)
-    levels = list(_doubling_rounds(*_sentinel_cycle(_initial_ranks(symbols)), n + 1))
+    # the cycle w$: `$` is rank 0 at position n, which wraps to 0
+    cycle = np.append(_initial_ranks(symbols) + 1, np.int32(0))
+    levels = list(_doubling_rounds(cycle, np.roll(np.arange(n + 1, dtype=np.int64), -1), n + 1))
     sa = _inverse(levels.pop())[1:]
     a, b = sa[:-1].astype(np.int64), sa[1:].astype(np.int64)
     while levels:
@@ -168,22 +159,6 @@ def _suffix_sort(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     lcp = np.zeros(n, dtype=np.int64)
     lcp[1:] = a - sa[:-1]
     return sa, lcp
-
-
-def reverse_prefix_order(w: Text) -> tuple[list[int], list[int], bytes]:
-    """The prefixes of w in the suffix order of reverse(w).
-
-    Returns (order, prefix, buf): order[p] is the rank of w[:p],
-    p = 0..n, when prefixes are ordered by their reversals (a shorter one
-    first when it is a suffix of the other), so that the prefixes sharing
-    a suffix of length l with any one prefix form a run of ranks around
-    it; prefix[r] is the p of rank r.  buf holds w's symbol ranks as
-    int32 bytes, 4 per symbol, so that slices compare in C.  The ranks
-    come from the doubling kernel on the cycle reverse(w)$, without LCP.
-    """
-    sym = _initial_ranks(w.symbols)
-    order = _doubling_ranks(*_sentinel_cycle(sym[::-1]), len(sym) + 1)[::-1]
-    return order.tolist(), _inverse(order).tolist(), sym.tobytes()
 
 
 def build_suffix_context(w: Text) -> SuffixContext:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,44 @@ def test_r_dollar_reads_the_shared_suffix_sort(monkeypatch):
         r_dollar = evaluate(w, ["delta", "r", "r_dollar"])[2]
         assert runs == [len(w) + 1, len(w)], runs
         assert r_dollar == (bwt_sentinel(w).run_count, True)
+
+
+def test_z_e_reads_the_reversal_s_suffix_sort(monkeypatch):
+    """z_e reads the suffix order of reverse(w), which a report sorts for
+    the other orientation anyway: two doubling runs per report, of w$ and
+    of reverse(w)$, and two for z_e on one orientation."""
+    from revsense import suffixes
+    runs = []
+    rounds = suffixes._doubling_rounds
+
+    def counted(rank, succ, limit):
+        runs.append(len(rank))
+        return rounds(rank, succ, limit)
+
+    monkeypatch.setattr(suffixes, "_doubling_rounds", counted)
+    for w in (generate(FamilySpec("fib", 12)), Text.from_str("abracadabra")):
+        runs.clear()
+        (rep,) = sensitivity_report(w, ["z_e"])
+        assert runs == [len(w) + 1] * 2, runs
+        runs.clear()
+        assert evaluate(w, ["z_e"]) == [(rep.value_fwd, True)]
+        assert runs == [len(w) + 1] * 2, runs
+        assert evaluate(reverse(w), ["z_e"]) == [(rep.value_rev, True)]
+
+
+def test_report_hands_over_no_matcher():
+    """A report with z_e keeps the forward suffix arrays for the reversal's
+    z_e, but not the forward matcher: on F_27 the peak is about 61 MB, and
+    about 71 MB when the matcher is handed over too (52 MB when z_e sorted
+    reverse(w) again in each orientation)."""
+    w = generate(FamilySpec("fib", 27))
+    tracemalloc.start()
+    try:
+        sensitivity_report(w, ["z", "z_e"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 65 * 2**20, peak
 
 
 def test_phrase_counts_build_no_phrases(monkeypatch):

@@ -129,11 +129,20 @@ def test_one_matcher_per_text(monkeypatch):
     builds.clear()
     assert lz_end_optimal(w)[1]
     assert len(builds) == 1
-    ctx = build_suffix_context(w)
+    ctx, rev_ctx = build_suffix_context(w), build_suffix_context(reverse(w))
     for parse in (lz_parse, lz_no_overlap, lz_end_greedy, lz_end_optimal):
         assert parse(w, ctx=ctx) == parse(w)
+    assert lz_end_greedy(w, ctx, rev_ctx) == lz_end_greedy(w)
     # the cached matcher is not part of the context's value
     assert ctx == build_suffix_context(w) and hash(ctx) == hash(build_suffix_context(w))
+
+
+def test_end_greedy_refuses_a_reverse_context_of_another_length():
+    w = Text.from_str("abracadabra")
+    assert lz_end_greedy(w, rev_ctx=build_suffix_context(reverse(w))) == lz_end_greedy(w)
+    for other in ("abracadabr", "abracadabraa"):
+        with pytest.raises(ValueError, match="reverse suffix context of"):
+            lz_end_greedy(w, rev_ctx=build_suffix_context(Text.from_str(other)))
 
 
 def test_z_end_reuses_the_greedy_parses(monkeypatch):
