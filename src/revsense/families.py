@@ -111,18 +111,16 @@ def _gen_w_sigma(sigma: int) -> Text:
 
 
 _FIB_NAMES = {0: "a", 1: "b"}
-_fib_cache: dict[int, tuple[int, ...]] = {1: (1,), 2: (0,)}
 
 
 def fibonacci_word(k: int) -> Text:
     """F_1 = b, F_2 = a, F_k = F_(k-1) F_(k-2)."""
     if k < 1:
         raise ValueError(f"Fibonacci index must be >= 1, got {k}")
-    if k not in _fib_cache:
-        top = max(_fib_cache)
-        for i in range(top + 1, k + 1):
-            _fib_cache[i] = _fib_cache[i - 1] + _fib_cache[i - 2]
-    return Text(_fib_cache[k], _FIB_NAMES)
+    a, b = (1,), (0,)       # F_1, F_2
+    for _ in range(k - 2):
+        a, b = b, b + a
+    return Text(b if k > 1 else a, _FIB_NAMES)
 
 
 def central_word(k: int) -> Text:

@@ -171,6 +171,7 @@ def sweep(
 ) -> list[SweepRow]:
     """Evaluate a parameter grid; emits the swept family's rows followed
     by the reversed partner's rows (derived, not recomputed)."""
+    measures = list(measures)
     base_rows: list[SweepRow] = []
     partner_rows: list[SweepRow] = []
     for param in params:

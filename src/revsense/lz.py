@@ -19,7 +19,8 @@ character.  The variants differ only in which sources qualify:
 * lz_end_optimal -- minimum number of phrases over all parsings whose
                     sources end at earlier boundaries of that same
                     parsing; greedy end-aligned parsing is not optimal
-                    in general.
+                    in general.  The search keeps no per-position arrays:
+                    O(n) memory besides the candidates on its path.
 """
 
 from __future__ import annotations
@@ -152,24 +153,26 @@ class _SuffixMatcher:
         return best, src
 
 
-def _match_lengths(symbols: tuple[int, ...], i0: int) -> list[int]:
-    """match[j] = length of the longest common prefix of w[j:] and w[i0:],
-    via the Z-array of w[i0:] + separator + w."""
-    pat = symbols[i0:]
-    m = len(pat)
-    t = pat + (-1,) + symbols
-    nt = len(t)
-    z = [0] * nt
-    z[0] = nt
-    l = r = 0
-    for i in range(1, nt):
-        if i < r:
-            z[i] = min(r - i, z[i - l])
-        while i + z[i] < nt and t[z[i]] == t[i + z[i]]:
-            z[i] += 1
-        if i + z[i] > r:
-            l, r = i, i + z[i]
-    return [min(z[m + 1 + j], m) for j in range(len(symbols))]
+def _match_lengths(ctx: SuffixContext, i0: int) -> list[tuple[int, int]]:
+    """(j0, m) for every j0 < i0 whose suffix shares m >= 1 symbols with
+    w[i0:], sorted by j0.  Those suffixes are the ranks around isa[i0]:
+    walking outward from it, the running minimum of the lcp entries passed
+    is the lcp with each rank, and each walk stops where it reaches 0."""
+    sa, lcp = ctx.sa, ctx.lcp
+    r = ctx.isa[i0]
+    found = []
+    # lcp[x] links ranks x - 1 and x: walking up it reaches x - 1, down x
+    for ranks, step in ((range(r, 0, -1), -1), (range(r + 1, len(sa)), 0)):
+        m = len(sa)
+        for x in ranks:
+            if lcp[x] < m:
+                m = lcp[x]
+                if not m:
+                    break
+            if sa[x + step] < i0:
+                found.append((sa[x + step], m))
+    found.sort()
+    return found
 
 
 def _greedy_parse(w: Text, ctx: SuffixContext | None, rule, variant: str) -> Parsing:
@@ -207,25 +210,20 @@ def lz_no_overlap(w: Text, ctx: SuffixContext | None = None) -> Parsing:
 
 
 def _end_aligned_candidates(
-    match: list[int], ends: list[int], i0: int, n: int
+    matches: list[tuple[int, int]], ends: list[int]
 ) -> dict[int, int]:
-    """All feasible end-aligned phrase lengths at position i0.
+    """All feasible end-aligned phrase lengths at the position i0 whose
+    `_match_lengths` are `matches`.
 
     Returns {length: source0}.  A length ell qualifies iff the prefix
     w[i0:i0+ell] occurs starting at some j0 < i0 with its last position
-    j0+ell-1 equal to a boundary in `ends` (1-based ends, all < i0+1).
+    j0+ell-1 equal to a boundary in `ends` (sorted 1-based ends, all
+    <= i0, so every source lies before i0).  The matches come sorted by
+    j0, so the first source found for a length is the leftmost.
     """
     found: dict[int, int] = {}
-    for j0 in range(i0):
-        mj = min(match[j0], n - i0)
-        if mj <= 0:
-            continue
-        lo_e, hi_e = j0 + 1, min(j0 + mj, i0)
-        if lo_e > hi_e:
-            continue
-        a = bisect_left(ends, lo_e)
-        b = bisect_right(ends, hi_e)
-        for e in ends[a:b]:
+    for j0, m in matches:
+        for e in ends[bisect_left(ends, j0 + 1):bisect_right(ends, j0 + m)]:
             ell = e - j0
             if ell not in found:
                 found[ell] = j0
@@ -311,9 +309,12 @@ def lz_end_optimal(
     parse and the greedy end-aligned parse have the same size the
     greedy end-aligned parsing is already optimal.  Otherwise a
     depth-first search over (position, boundary set) states runs with
-    branch-and-bound pruning; per-position match arrays are memoized.
-    Exactness is False when node_budget is exhausted (the best parsing
-    found so far is returned).
+    branch-and-bound pruning.  A node that passes the bound reads the
+    earlier matches of its position off `ctx` (`_match_lengths`) and
+    keeps none, so the search holds O(n) memory (the bound, the path and
+    one node's matches) besides the candidate lengths of the nodes on
+    the path, at most LPF(i0) at position i0.  Exactness is False when
+    node_budget is exhausted (the best parsing found so far is returned).
 
     `greedy` and `base` are lz_end_greedy(w) and lz_parse(w) when the
     caller has them already; each one not given is computed here.
@@ -330,8 +331,7 @@ def lz_end_optimal(
     if len(base) == len(greedy):
         return Parsing(greedy.bounds, greedy.sources, "lz_end"), True
 
-    s = w.symbols
-    n = len(s)
+    n = len(w)
     matcher = ctx.matcher
     # Lower bound ignoring end-alignment: greedy jumps over the longest
     # earlier match are optimal for that relaxation.
@@ -340,7 +340,6 @@ def lz_end_optimal(
     for i in range(n - 1, -1, -1):
         lb[i] = 1 + lb[i + maxlen[i]]
 
-    match_memo: dict[int, list[int]] = {}
     best_count = len(greedy)
     # phrases as (start0, source0) pairs; a phrase's length is the gap to the next start
     best_phrases = list(zip(greedy.bounds, greedy.sources))
@@ -364,9 +363,7 @@ def lz_end_optimal(
             return
         if count + lb[i0] >= best_count:
             return
-        if i0 not in match_memo:
-            match_memo[i0] = _match_lengths(s, i0)
-        cands = _end_aligned_candidates(match_memo[i0], ends, i0, n)
+        cands = _end_aligned_candidates(_match_lengths(ctx, i0), ends)
         moves = sorted(cands, reverse=True)
         if 1 not in cands:
             moves.append(1)

@@ -64,6 +64,8 @@ def to_tokens(w: Text) -> str:
         ranks = sorted(set(w.symbols))
     names = [w.name_of(r) for r in ranks]
     for name in names:
+        if not name:
+            raise SerializationError("a token name is empty and would not read back")
         if any(c.isspace() for c in name):
             raise SerializationError(f"token name {name!r} contains whitespace")
     header = "#alphabet " + " ".join(names)

@@ -125,6 +125,19 @@ def brute_lz_end_greedy(s):
     return tuple(out)
 
 
+def brute_match_lengths(s, i0):
+    """(j0, m) for every j0 < i0 whose suffix shares m >= 1 symbols with
+    s[i0:], sorted by j0, by comparing symbols."""
+    out = []
+    for j0 in range(i0):
+        m = 0
+        while i0 + m < len(s) and s[j0 + m] == s[i0 + m]:
+            m += 1
+        if m:
+            out.append((j0, m))
+    return out
+
+
 def exhaustive_lz_end_size(s):
     """Exact smallest end-aligned parsing by enumerating boundary sets."""
     n = len(s)

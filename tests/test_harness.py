@@ -229,6 +229,12 @@ def test_sweep_structure_and_order():
             assert r.additive == r.param - 1
 
 
+def test_sweep_takes_an_iterator_of_ids():
+    rows = sweep("u_k", [1, 2, 3], iter(["r", "r_b"]))
+    assert len(rows) == 12
+    assert rows == sweep("u_k", [1, 2, 3], ["r", "r_b"])
+
+
 def test_sweep_ratio_column():
     rows = [r for r in sweep("T_p_rev", range(2, 11), ["z"]) if r.family == "T_p_rev"]
     ratios = [r.multiplicative for r in rows]

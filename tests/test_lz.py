@@ -11,6 +11,7 @@ from revsense.lz import (
     Parsing,
     Phrase,
     _SuffixMatcher,
+    _match_lengths,
     lz_end_greedy,
     lz_end_optimal,
     lz_no_overlap,
@@ -23,6 +24,7 @@ from oracles import (
     brute_lz_end_greedy,
     brute_lz_no_overlap,
     brute_lz_shape,
+    brute_match_lengths,
     decode_parsing,
     exhaustive_lz_end_size,
     left_source_optimal_size,
@@ -107,6 +109,33 @@ def test_budget_exhaustion_flag():
     parsing, exact = lz_end_optimal(w, node_budget=1)
     assert not exact
     assert len(parsing) == len(lz_end_greedy(w))  # best found so far = greedy
+
+
+def test_match_lengths_vs_brute():
+    rng = random.Random(19)
+    texts = [tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 60)))
+             for sigma in (1, 2, 4) for _ in range(40)]
+    texts += [_thue_morse(n) for n in (1, 2, 5, 16, 33, 100)]
+    for s in texts:
+        ctx = build_suffix_context(Text(s))
+        for i0 in range(len(s)):
+            assert _match_lengths(ctx, i0) == brute_match_lengths(s, i0), (s, i0)
+
+
+def test_end_optimal_search_memory_is_linear():
+    # z = 2 and z_e = 12, so this searches; keeping one match array per
+    # visited position took 1.3 MB above its inputs, the walk takes 0.1 MB
+    w = Text((0,) * 2000)
+    ctx = build_suffix_context(w)
+    greedy, base = lz_end_greedy(w, ctx), lz_parse(w, ctx)
+    assert len(base) < len(greedy)
+    tracemalloc.start()
+    try:
+        lz_end_optimal(w, 3000, ctx, greedy, base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19, peak
 
 
 def test_one_matcher_per_text(monkeypatch):

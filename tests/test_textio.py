@@ -57,6 +57,12 @@ def test_tokens_reject_unknown_token():
         from_tokens("#alphabet a b\na c\n")
 
 
+@pytest.mark.parametrize("w", [Text((0, 1, 0), {0: "", 1: "b"}), Text((5,), {5: ""})])
+def test_tokens_refuse_an_empty_name(w):
+    with pytest.raises(SerializationError, match="empty"):
+        to_tokens(w)
+
+
 def test_tokens_reject_missing_header():
     with pytest.raises(SerializationError):
         from_tokens("a b a\n")
