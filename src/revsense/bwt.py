@@ -6,27 +6,55 @@
                   is read off w's suffix array, not sorted again.
 * bbwt         -- bijective variant: last characters of all rotations of
                   all Lyndon factors, in omega-order; r_b = run count.
+
+Each variant gathers the text's cached dense symbol ranks in its rotation
+order and counts the runs there, since equal ranks are equal symbols; the
+output text is built only when it is read.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .suffixes import SuffixContext, build_suffix_context, cyclic_rotation_order
-from .text import Text, lyndon_starts
+from .text import Text, _derived, lyndon_starts
 from .textio import SENTINEL_NAME
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformResult:
-    output: Text
+    """A transform of `source`: its output holds source's symbols at the
+    0-based `positions`, and `run_count` counts that output's runs.  The
+    output Text is built on first read, so a run count alone builds no
+    tuple or Text.  Two results are equal iff they have the same output,
+    run count and variant."""
+
+    source: Text
+    positions: np.ndarray
     run_count: int
     variant: str
+
+    @functools.cached_property
+    def output(self) -> Text:
+        s = self.source.symbols
+        return Text(tuple(map(s.__getitem__, self.positions.tolist())), self.source.names)
+
+    def _key(self) -> tuple:
+        return self.output, self.run_count, self.variant
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TransformResult):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 def _cycle_transform(
@@ -35,8 +63,8 @@ def _cycle_transform(
     """Last symbols of the rotations of the cycles of w (the factors that
     begin at `starts`) in cyclic_rotation_order, and their run count.  A
     rotation's last symbol is the predecessor of its start within its
-    cycle.  `order` is that rotation order when the caller already has it;
-    one of the wrong length is refused."""
+    cycle.  `order` is that rotation order, an array or a sequence, when
+    the caller already has it; one of the wrong length is refused."""
     n = len(w)
     if order is None:
         order = cyclic_rotation_order(w, starts)
@@ -44,15 +72,12 @@ def _cycle_transform(
         raise ValueError(f"a rotation order of {len(order)} starts for a text of length {n}")
     first = np.fromiter(starts, dtype=np.int64, count=len(starts))
     # predecessor within each cycle; a cycle's first position wraps to its last
-    pred = np.arange(-1, n - 1)
+    pred = np.arange(-1, n - 1, dtype=np.int32)
     pred[first] = np.append(first[1:], n) - 1
-    try:
-        symbols = np.fromiter(w.symbols, dtype=np.int64, count=n)
-    except OverflowError:   # ranks past 2^63 stay exact Python ints
-        symbols = np.asarray(w.symbols, dtype=object)
-    out = symbols[pred[np.fromiter(order, dtype=np.int64, count=n)]]
+    positions = pred[np.asarray(order, dtype=np.int64)]
+    out = w.dense_ranks[positions]
     runs = 1 + int(np.count_nonzero(out[1:] != out[:-1]))
-    return TransformResult(Text(tuple(out.tolist()), w.names), runs, variant)
+    return TransformResult(w, positions, runs, variant)
 
 
 def bwt(w: Text, order: Sequence[int] | None = None) -> TransformResult:
@@ -77,19 +102,27 @@ def bwt_sentinel(w: Text, ctx: SuffixContext | None = None) -> TransformResult:
     The suffix sort puts a shorter suffix before a longer one it prefixes,
     so the rotation order of w$ is the `$` rotation, then w's suffix
     array.  `ctx` is w's suffix context when the caller already has it;
-    otherwise it is built here.
+    otherwise it is built here.  The shifted text's alphabet and dense
+    ranks are w's plus one, with the sentinel at 0, so they are not
+    derived again.
     """
     if len(w) == 0:
         raise ValueError("BWT requires a non-empty text")
-    names = {r + 1: w.name_of(r) for r in set(w.symbols)}
+    names = {r + 1: w.name_of(r) for r in w.alphabet}
     if SENTINEL_NAME in names.values():
         raise ValueError("input already contains the sentinel symbol")
     names[0] = SENTINEL_NAME
     if ctx is None:
         ctx = build_suffix_context(w)
-    shifted = Text((*map(operator.add, w.symbols, repeat(1)), 0), names)
-    res = bwt(shifted, (len(w),) + ctx.sa)
-    return TransformResult(res.output, res.run_count, "sentinel")
+    n = len(w)
+    if len(ctx) != n:
+        raise ValueError(f"a suffix context of {len(ctx)} suffixes for a text of length {n}")
+    ranks = np.append(w.dense_ranks + 1, np.int32(0))
+    ranks.flags.writeable = False
+    shifted = _derived((*map(operator.add, w.symbols, repeat(1)), 0), names,
+                       alphabet=(0, *map(operator.add, w.alphabet, repeat(1))), dense_ranks=ranks)
+    order = np.fromiter(chain((n,), ctx.sa), dtype=np.int64, count=n + 1)
+    return replace(bwt(shifted, order), variant="sentinel")
 
 
 def bbwt(w: Text, order: Sequence[int] | None = None) -> TransformResult:

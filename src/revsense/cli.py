@@ -212,7 +212,7 @@ def cmd_show(args: argparse.Namespace) -> int:
         bounds = starts + (len(s),)
         rows = []
         order = cyclic_rotation_order(w, starts)
-        for p in order:
+        for p in order.tolist():
             i = bisect_right(starts, p)
             rows.append(s[p:bounds[i]] + s[bounds[i - 1]:p])
         result = (bwt if args.view == "bwt" else bbwt)(w, order)

@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .suffixes import SuffixContext, _initial_ranks, build_suffix_context
+from .suffixes import SuffixContext, build_suffix_context
 from .text import Text, reverse
 
 
@@ -256,7 +256,7 @@ def lz_end_greedy(w: Text, ctx: SuffixContext | None = None,
         rev = rev_ctx or build_suffix_context(reverse(w))
         # positions are reverse(w)'s: w[:e] is its suffix at n - e, of rank isa[n - e];
         # buf holds its symbol ranks as int32 bytes, 4 per symbol, so slices compare in C
-        isa, sa, buf = rev.isa, rev.sa, _initial_ranks(w.symbols)[::-1].tobytes()
+        isa, sa, buf = rev.isa, rev.sa, w.dense_ranks[::-1].tobytes()
         # a byte of `marked` is 1 at the rank of a phrase end, so finding the
         # next one either way is a byte search in C, and marking one is a store
         marked = bytearray(n)

@@ -8,7 +8,9 @@ array is read off the same kernel's rounds, as Manber & Myers (SIAM J.
 Comput. 1993) do: each round's ids tell which 2^j-symbol prefixes are
 equal, so a binary lift over them gives every adjacent LCP at once, with
 no walk over the text.  Ranks are int32, so a text holds fewer than 2^31
-symbols.
+symbols.  Both orders start from the text's cached `Text.dense_ranks`;
+`cyclic_rotation_order` returns its int64 array, while a SuffixContext
+keeps tuples.
 
 Positions are 0-based throughout: sa[i] is the start of the (i+1)-th
 smallest suffix and isa[p] the rank of the suffix at p, both read straight
@@ -54,18 +56,6 @@ class SuffixContext:
         text reads it, so it is built once per text."""
         from . import lz    # lz imports this module
         return lz._SuffixMatcher(self)
-
-
-def _initial_ranks(symbols: tuple[int, ...]) -> np.ndarray:
-    alphabet = sorted(set(symbols))
-    if alphabet and alphabet[-1] >> 63:
-        # past 2^63 the ranks stay exact Python ints: numpy alone would
-        # take a mix of them and small ranks as float64 and merge neighbours
-        ranks = np.searchsorted(np.array(alphabet, dtype=object), np.array(symbols, dtype=object))
-    else:
-        ranks = np.searchsorted(np.array(alphabet, dtype=np.int64),
-                                np.fromiter(symbols, dtype=np.int64, count=len(symbols)))
-    return ranks.astype(np.int32)
 
 
 def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, int]:
@@ -133,7 +123,7 @@ def _doubling_ranks(rank: np.ndarray, succ: np.ndarray, limit: int) -> np.ndarra
     return rank
 
 
-def _suffix_sort(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _suffix_sort(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Suffix array and LCP array; a shorter suffix precedes a longer one
     it prefixes.  This is the rotation order of w$, `$` being a unique
     smallest symbol, so it ranks the cycle of w$ and drops the `$`.
@@ -145,9 +135,9 @@ def _suffix_sort(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     j = J - 1 down; the LCP is how far they moved.  Equal reads cannot
     hold the unique `$`, so a and b never pass it.
     """
-    n = len(symbols)
+    n = len(ranks)
     # the cycle w$: `$` is rank 0 at position n, which wraps to 0
-    cycle = np.append(_initial_ranks(symbols) + 1, np.int32(0))
+    cycle = np.append(ranks + 1, np.int32(0))
     levels = list(_doubling_rounds(cycle, np.roll(np.arange(n + 1, dtype=np.int64), -1), n + 1))
     sa = _inverse(levels.pop())[1:]
     a, b = sa[:-1].astype(np.int64), sa[1:].astype(np.int64)
@@ -164,13 +154,14 @@ def _suffix_sort(symbols: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
 def build_suffix_context(w: Text) -> SuffixContext:
     if len(w) == 0:
         raise ValueError("suffix structures require a non-empty text")
-    sa, lcp = _suffix_sort(w.symbols)
+    sa, lcp = _suffix_sort(w.dense_ranks)
     return SuffixContext(tuple(sa.tolist()), tuple(_inverse(sa).tolist()), tuple(lcp.tolist()))
 
 
-def cyclic_rotation_order(w: Text, starts: Sequence[int] = (0,)) -> tuple[int, ...]:
+def cyclic_rotation_order(w: Text, starts: Sequence[int] = (0,)) -> np.ndarray:
     """Start positions of the rotations of the cycles of w, in
-    non-decreasing lexicographic order of their infinite periodic strings.
+    non-decreasing lexicographic order of their infinite periodic strings,
+    as an int64 array.
 
     The cycles are the factors of w that begin at the positions in `starts`
     (default: w itself, one cycle).  Each position is ranked by
@@ -190,4 +181,4 @@ def cyclic_rotation_order(w: Text, starts: Sequence[int] = (0,)) -> tuple[int, .
     succ = np.arange(1, n + 1, dtype=np.int64)
     succ[np.asarray(ends, dtype=np.int64) - 1] = starts
     longest = max(map(operator.sub, ends, starts))
-    return tuple(_inverse(_doubling_ranks(_initial_ranks(w.symbols), succ, 2 * longest)).tolist())
+    return _inverse(_doubling_ranks(w.dense_ranks, succ, 2 * longest).astype(np.int64))

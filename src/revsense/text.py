@@ -7,12 +7,18 @@ a_s, interleaved marker symbols, ...) print readably.  All operations
 here are pure functions on immutable values.
 
 Lyndon factor starts are 0-based, like indexing and slicing a Text.
+A Text derives its alphabet and the int32 dense ranks of its symbols,
+which the numpy kernels read, once, on first use; its reversal reads
+them backwards.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,12 +30,16 @@ class Text:
 
     def __post_init__(self) -> None:
         # a name table is checked against every rank it may show: the
-        # present ranks, whose default names it must not repeat, and its keys
-        ranks = self.symbols if self.names is None else set(self.symbols)
+        # present ranks, whose default names it must not repeat, and its keys;
+        # a text made by _derived reads the ranks off its known alphabet
+        if "alphabet" in vars(self):
+            ranks = self.alphabet
+        else:
+            ranks = self.symbols if self.names is None else set(self.symbols)
         if ranks and min(ranks) < 0:
             raise ValueError("symbol ranks must be non-negative")
         if self.names is not None:
-            shown = ranks.union(self.names)
+            shown = set(ranks).union(self.names)
             if len({self.name_of(r) for r in shown}) != len(shown):
                 raise ValueError("display names must be unique")
 
@@ -48,6 +58,17 @@ class Text:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.symbols)
+
+    @functools.cached_property
+    def alphabet(self) -> tuple[int, ...]:
+        """The distinct symbols in increasing order."""
+        return tuple(sorted(set(self.symbols)))
+
+    @functools.cached_property
+    def dense_ranks(self) -> np.ndarray:
+        """int32 ranks 0, 1, ... of the symbols in the alphabet, a read-only
+        array: equal symbols share a rank and the order is kept."""
+        return _dense_symbol_ranks(self.symbols, self.alphabet)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -77,8 +98,34 @@ class Text:
         return cls(tuple(ord(c) for c in s), {ord(c): c for c in set(s)})
 
 
+def _dense_symbol_ranks(symbols: tuple[int, ...], alphabet: tuple[int, ...]) -> np.ndarray:
+    if alphabet and alphabet[-1] >> 63:
+        # past 2^63 the ranks stay exact Python ints: numpy alone would
+        # take a mix of them and small ranks as float64 and merge neighbours
+        ranks = np.searchsorted(np.array(alphabet, dtype=object), np.array(symbols, dtype=object))
+    else:
+        ranks = np.searchsorted(np.array(alphabet, dtype=np.int64),
+                                np.fromiter(symbols, dtype=np.int64, count=len(symbols)))
+    ranks = ranks.astype(np.int32)
+    ranks.flags.writeable = False
+    return ranks
+
+
+def _derived(symbols: tuple[int, ...], names: dict[int, str] | None, **known) -> Text:
+    """Text(symbols, names), given what is already known of its symbols:
+    its `alphabet` and `dense_ranks` are kept, not derived again, and its
+    checks read the alphabet instead of every symbol."""
+    t = Text.__new__(Text)
+    vars(t).update(known)
+    t.__init__(symbols, names)
+    return t
+
+
 def reverse(w: Text) -> Text:
-    return Text(w.symbols[::-1], w.names)
+    # what w has derived of its symbols holds for the reversal, read backwards
+    known = {k: v[::-1] if k == "dense_ranks" else v
+             for k, v in vars(w).items() if k in ("alphabet", "dense_ranks")}
+    return _derived(w.symbols[::-1], w.names, **known)
 
 
 def lyndon_starts(w: Text) -> tuple[int, ...]:

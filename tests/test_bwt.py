@@ -3,6 +3,7 @@ import time
 import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -129,12 +130,15 @@ def test_bwt_takes_a_rotation_order():
               generate(FamilySpec("fib", 10)), generate(FamilySpec("fib_plus", 10))):
         for transform, starts in ((bwt, (0,)), (bbwt, lyndon_starts(w))):
             order = cyclic_rotation_order(w, starts)
-            assert transform(w, order) == transform(w)
-            for wrong in (order[:-1], order + (0,)):
+            as_tuple = tuple(order.tolist())
+            for given in (order, as_tuple):
+                assert transform(w, given) == transform(w)
+            for wrong in (order[:-1], as_tuple[:-1], np.append(order, 0), as_tuple + (0,)):
                 with pytest.raises(ValueError):
                     transform(w, wrong)
-    with pytest.raises(ValueError):
-        bwt_sentinel(Text.from_str("abab"), build_suffix_context(Text.from_str("aba")))
+    for other in ("aba", "ababa"):
+        with pytest.raises(ValueError):
+            bwt_sentinel(Text.from_str("abab"), build_suffix_context(Text.from_str(other)))
 
 
 def test_bbwt_equals_bwt_on_lyndon_words():

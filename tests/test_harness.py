@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from revsense.bwt import bwt, bwt_sentinel
+from revsense.bwt import bbwt, bwt, bwt_sentinel
 from revsense.families import FamilySpec, generate
 from revsense.harness import (
     MEASURE_IDS,
@@ -201,6 +201,84 @@ def test_phrase_counts_build_no_phrases(monkeypatch):
     assert evaluate(w, ["z", "z_e", "z_end"]) == [(8, True), (9, True), (8, True)]
     assert built == []
     assert len(lz.lz_parse(w).phrases) == len(built) == 8     # the counter sees them
+
+
+def _count_text_builds(monkeypatch) -> list:
+    from revsense import text
+    built = []
+    init = text.Text.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(text.Text, "__init__", counted)
+    return built
+
+
+def test_run_counts_build_no_output(monkeypatch):
+    """r and r_b count runs on the gathered symbol ranks and build no Text;
+    r_dollar builds one, the shifted text w$.  A transform's output is
+    built when it is read, and equals the oracles' outputs."""
+    from oracles import brute_bbwt, naive_cyclic_rotation_order
+    rng = random.Random(19)
+    texts = [Text(random_symbols(rng, 60)) for _ in range(300)]
+    texts += [Text.from_str("baabaaba"), Text((2**64, 3, 2**64 + 1, 3, 2**63))]
+    texts += [generate(FamilySpec(f, p)) for f, p in (("u_k", 3), ("fib_plus", 10), ("c_fib_rev", 9))]
+    built = _count_text_builds(monkeypatch)
+    for w in texts:
+        built.clear()
+        assert evaluate(w, ["r", "r_b"])[0][0] == bwt(w).run_count
+        assert built == []
+        plain, bijective = bwt(w), bbwt(w)
+        assert built == [] and "output" not in vars(plain)
+        evaluate(w, ["r_dollar"])
+        assert len(built) == 1
+        sentinel = bwt_sentinel(w)
+        s = w.symbols
+        assert plain.output.symbols == tuple(s[p - 1] for p in naive_cyclic_rotation_order(w)), w
+        assert bijective.output.symbols == brute_bbwt(s), w
+        ext = Text(tuple(x + 1 for x in s) + (0,))
+        assert sentinel.output.symbols == tuple(ext.symbols[p - 1]
+                                                for p in naive_cyclic_rotation_order(ext)), w
+        assert plain.output.names is w.names
+
+
+def test_a_report_derives_symbol_ranks_once(monkeypatch):
+    """The suffix sorts and rotation orders of w, reverse(w) and the
+    shifted w$ all read the ranks derived once from w's symbols."""
+    from revsense import text
+    derived = []
+    derive = text._dense_symbol_ranks
+
+    def counted(symbols, alphabet):
+        derived.append(len(symbols))
+        return derive(symbols, alphabet)
+
+    monkeypatch.setattr(text, "_dense_symbol_ranks", counted)
+    rng = random.Random(20)
+    for s in (generate(FamilySpec("fib", 12)).symbols, random_symbols(rng, 500, min_n=400)):
+        derived.clear()
+        reports = sensitivity_report(Text(s), ["r", "r_b", "r_dollar", "z", "z_e"])
+        assert derived == [len(s)]
+        derived.clear()
+        values = evaluate(Text(s), ["r", "r_b", "r_dollar", "z", "z_e"])
+        assert derived == [len(s)]
+        assert values == [(r.value_fwd, True) for r in reports]
+
+
+def test_run_count_memory_is_bounded():
+    """r, r_b and r_dollar at n = 2*10^5 peak at about 25 MB: 30.5 MB when
+    each rotation order became a tuple and each output a Text."""
+    rng = random.Random(7)
+    w = Text(tuple(rng.randrange(4) for _ in range(2 * 10**5)))
+    tracemalloc.start()
+    try:
+        evaluate(w, ["r", "r_b", "r_dollar"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20, peak
 
 
 def test_measure_ids_complete():

@@ -86,7 +86,7 @@ def test_differential_bulk():
     texts = [Text(random_symbols(rng, 64)) for _ in range(1500)]
     for w in texts + list(_edge_texts(rng)):
         assert build_suffix_context(w) == naive_suffix_context(w), w
-        assert cyclic_rotation_order(w) == naive_cyclic_rotation_order(w), w
+        assert tuple(cyclic_rotation_order(w)) == naive_cyclic_rotation_order(w), w
 
 
 @pytest.mark.parametrize("bits", [16, 17, 31, 32, 40])
@@ -117,7 +117,7 @@ def test_alphabet_of_65537_symbols():
     ctx = build_suffix_context(w)
     assert ctx.sa == tuple(x for i in by_symbol for x in (i + m, i))
     assert ctx.lcp == tuple(x for i in by_symbol for x in (0, m - i))
-    assert cyclic_rotation_order(w) == tuple(x for i in by_symbol for x in (i, i + m))
+    assert tuple(cyclic_rotation_order(w)) == tuple(x for i in by_symbol for x in (i, i + m))
 
 
 def test_rotation_order_of_many_cycles():
@@ -129,7 +129,7 @@ def test_rotation_order_of_many_cycles():
         sigma = rng.choice((1, 2, 3, 5))
         w = Text(tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 80))))
         starts = tuple(range(len(w)))
-        assert cyclic_rotation_order(w, starts) == naive_cyclic_rotation_order(w, starts)
+        assert tuple(cyclic_rotation_order(w, starts)) == naive_cyclic_rotation_order(w, starts)
     for n in (31, 32, 63, 64, 65, 300):
         # a unique smallest first symbol makes the factor Lyndon
         long_factor = (0,) + tuple(rng.randrange(1, 3) for _ in range(n - 1))
@@ -137,7 +137,7 @@ def test_rotation_order_of_many_cycles():
         w = Text(s)
         starts = lyndon_starts(w)
         assert max(b - a for a, b in zip(starts, starts[1:] + (len(s),))) == n
-        assert cyclic_rotation_order(w, starts) == naive_cyclic_rotation_order(w, starts)
+        assert tuple(cyclic_rotation_order(w, starts)) == naive_cyclic_rotation_order(w, starts)
         assert bbwt(w).output.symbols == brute_bbwt(s)
 
 
@@ -256,13 +256,13 @@ def test_repack_at_width_boundaries(sigma):
     if sigma < 2**10:
         assert build_suffix_context(w) == naive_suffix_context(w)
         for starts in ((0,), lyndon_starts(w)):
-            assert cyclic_rotation_order(w, starts) == naive_cyclic_rotation_order(w, starts)
+            assert tuple(cyclic_rotation_order(w, starts)) == naive_cyclic_rotation_order(w, starts)
     else:
         _checked_lcp(w)
         doubled = Text(s * 2)
         _checked_lcp(doubled)
         expected = tuple(x for x in build_suffix_context(doubled).sa if x < n)
-        assert cyclic_rotation_order(w) == expected
+        assert tuple(cyclic_rotation_order(w)) == expected
 
 
 def test_sort_count_on_repetitive_text(monkeypatch):
@@ -288,12 +288,21 @@ def test_sort_count_on_repetitive_text(monkeypatch):
 
 
 def test_rotation_order_examples():
-    assert cyclic_rotation_order(Text.from_str("aaaa")) == (0, 1, 2, 3)
-    assert cyclic_rotation_order(Text.from_str("abab")) == (0, 2, 1, 3)
+    assert tuple(cyclic_rotation_order(Text.from_str("aaaa"))) == (0, 1, 2, 3)
+    assert tuple(cyclic_rotation_order(Text.from_str("abab"))) == (0, 2, 1, 3)
     order = cyclic_rotation_order(Text.from_str("baabaaba"))
     w = Text.from_str("baabaaba").symbols
     last = "".join(chr(w[p - 1]) for p in order)
     assert last == "bbbaaaaa"
+
+
+def test_rotation_order_is_an_int64_permutation_array():
+    rng = random.Random(102)
+    for w in (Text.from_str("a"), Text.from_str("baabaaba"), Text(random_symbols(rng, 300, min_n=200))):
+        for starts in ((0,), lyndon_starts(w)):
+            order = cyclic_rotation_order(w, starts)
+            assert isinstance(order, np.ndarray) and order.dtype == np.int64
+            assert sorted(order.tolist()) == list(range(len(w)))
 
 
 def test_rotation_order_agrees_with_suffix_order_after_terminal():
@@ -302,4 +311,4 @@ def test_rotation_order_agrees_with_suffix_order_after_terminal():
         base = random_symbols(rng, 40)
         # append a strictly smaller unique terminal: shift ranks up, add 0
         w = Text(tuple(r + 1 for r in base) + (0,))
-        assert cyclic_rotation_order(w) == build_suffix_context(w).sa
+        assert tuple(cyclic_rotation_order(w)) == build_suffix_context(w).sa

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -212,3 +213,17 @@ def test_name_table_beside_default_names():
     assert w.display() == "a b <200>"
     assert bwt_sentinel(w).output.display() == "<200> $ a b"
     assert Text((97,), {97: "a"}).display() == "a"
+
+
+@pytest.mark.parametrize("symbols", [(7,), (5, 3, 5, 0, 9), (2**64, 1, 2**64 + 1, 1, 2**63)])
+def test_dense_ranks_keep_the_order_of_the_symbols(symbols):
+    w = Text(symbols)
+    ranks = w.dense_ranks
+    assert ranks.dtype == np.int32 and not ranks.flags.writeable
+    assert w.alphabet == tuple(sorted(set(symbols)))
+    assert ranks.tolist() == [w.alphabet.index(x) for x in symbols]
+    assert w.dense_ranks is ranks
+    # the reversal reads w's ranks backwards once w has them, else derives its own
+    for rev in (reverse(w), reverse(Text(symbols))):
+        assert rev.alphabet == w.alphabet
+        assert rev.dense_ranks.tolist() == ranks.tolist()[::-1]
