@@ -15,7 +15,9 @@ character.  The variants differ only in which sources qualify:
                     l, so it is found in the suffix context of
                     reverse(w) next to the rank of w[:i0+l]; a phrase
                     checks the lengths L, L-1, ... down to the first
-                    that has one, L - l + 1 checks for L = min(LPF(i0), i0).
+                    that has one, L - l + 1 checks for L = min(LPF(i0), i0),
+                    and walks from the nearest passing end to the
+                    earliest-produced one, the leftmost source.
 * lz_end_optimal -- minimum number of phrases over all parsings whose
                     sources end at earlier boundaries of that same
                     parsing; greedy end-aligned parsing is not optimal
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import sys
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
@@ -239,13 +242,28 @@ def lz_end_greedy(w: Text, ctx: SuffixContext | None = None,
     prefixes w[:e] and w[:i0+l] share a suffix of length l.  w[:p] read
     backwards is the suffix of reverse(w) at n - p, so in the suffix order
     of reverse(w), `rev_ctx` (built when not given; one of another length
-    is refused), the ends that pass form one run of ranks around the rank
-    of w[:i0+l]; each l is checked by stepping outward from that rank
-    through the marked ends while they still pass.  Feasible lengths are
-    not downward closed, so l runs down from L = min(LPF(i0), i0), the
-    longest earlier match bounding any source, and the first l that
-    passes wins: a phrase costs L - l + 1 checks.  The smallest passing
-    end keeps the leftmost source.
+    is refused), the marked ends that pass form one run of ranks around the
+    rank of w[:i0+l].  Feasible lengths are not downward closed, so l runs
+    down from L = min(LPF(i0), i0), the longest earlier match bounding any
+    source, and the first l that passes wins: a phrase costs L - l + 1
+    checks of the nearest marked end on each side of that rank.
+
+    The leftmost source is the one at the smallest passing end, the earliest
+    marked, as ends are marked in increasing order.  Each check stores the
+    nearest marked rank on each side of the rank it starts from as that
+    rank's links.  A phrase's last check starts at the rank of its own end
+    (the check at its length, or at 1 for a literal), nothing is marked
+    between that check and the end's marking, and a marked rank is never
+    checked again: a check is of a prefix longer than every end.  So an
+    end's links are its nearest earlier-marked neighbours.  A phrase with
+    L = 0 makes no check, but its symbol is new: no earlier end shares the
+    first symbol of its end's reversed prefix, so that end is the earliest
+    of every run it is in, and any link it holds is an earlier end that
+    fails wherever it passes.  A passing end that is not the earliest of its
+    run has an earlier one on some side, so that side's link lies between
+    them, inside the run, and passes.  So a walk that moves to a passing
+    link, the earlier end when both pass, stops exactly at the leftmost
+    source, and each step moves to a strictly earlier end of the run.
     """
     n = len(w)
     if rev_ctx is not None and len(rev_ctx) != n:
@@ -255,12 +273,15 @@ def lz_end_greedy(w: Text, ctx: SuffixContext | None = None,
         earlier = ctx.matcher.longest_earlier_match
         rev = rev_ctx or build_suffix_context(reverse(w))
         # positions are reverse(w)'s: w[:e] is its suffix at n - e, of rank isa[n - e];
-        # buf holds its symbol ranks as int32 bytes, 4 per symbol, so slices compare in C
+        # buf holds its symbol ranks as int32 bytes, 4 per symbol, so checks compare in C
         isa, sa, buf = rev.isa, rev.sa, w.dense_ranks[::-1].tobytes()
         # a byte of `marked` is 1 at the rank of a phrase end, so finding the
-        # next one either way is a byte search in C, and marking one is a store
+        # next one either way is a byte search in C, and marking one is a store;
+        # left[r] / right[r] is the nearest marked rank on its side when a check
+        # last started at r, or -1
         marked = bytearray(n)
-        rfind, find = marked.rfind, marked.find
+        rfind, find, startswith = marked.rfind, marked.find, buf.startswith
+        left, right = array("i", [-1]) * n, array("i", [-1]) * n
 
         def longest_match(i0: int) -> tuple[int, int | None]:
             # the greedy loop asks once per phrase start, in order, and every
@@ -269,28 +290,25 @@ def lz_end_greedy(w: Text, ctx: SuffixContext | None = None,
                 marked[isa[n - i0]] = 1
             ell = min(earlier(i0)[0], i0)
             while ell:
-                # e < ell slices past buf's end and fails; the smallest end e has the largest x
-                k, q = 4 * ell, n - i0 - ell
-                pat = buf[4 * q:4 * q + k]
-                top = -1
-                r = rfind(1, 0, isa[q])
-                while r >= 0:
-                    x = 4 * sa[r]
-                    if buf[x:x + k] != pat:
+                # an end e < ell runs past buf's end and fails; an earlier end has a larger sa
+                q = n - i0 - ell
+                pat = buf[4 * q:4 * (q + ell)]
+                r = isa[q]
+                top, a, b = -1, rfind(1, 0, r), find(1, r)
+                left[r], right[r] = a, b
+                while a >= 0 or b >= 0:
+                    # try the earlier end, the larger sa, first
+                    if a < 0 or (b >= 0 and sa[b] > sa[a]):
+                        a, b = b, a
+                    if startswith(pat, 4 * sa[a]):
+                        top = a
+                    elif b >= 0 and startswith(pat, 4 * sa[b]):
+                        top = b
+                    else:
                         break
-                    if x > top:
-                        top = x
-                    r = rfind(1, 0, r)
-                r = find(1, isa[q])
-                while r >= 0:
-                    x = 4 * sa[r]
-                    if buf[x:x + k] != pat:
-                        break
-                    if x > top:
-                        top = x
-                    r = find(1, r + 1)
+                    a, b = left[top], right[top]
                 if top >= 0:
-                    return ell, n - top // 4 - ell
+                    return ell, n - sa[top] - ell
                 ell -= 1
             return 0, None
 

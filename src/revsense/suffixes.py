@@ -138,7 +138,9 @@ def _suffix_sort(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(ranks)
     # the cycle w$: `$` is rank 0 at position n, which wraps to 0
     cycle = np.append(ranks + 1, np.int32(0))
-    levels = list(_doubling_rounds(cycle, np.roll(np.arange(n + 1, dtype=np.int64), -1), n + 1))
+    succ = np.arange(1, n + 2, dtype=np.int64)
+    succ[n] = 0
+    levels = list(_doubling_rounds(cycle, succ, n + 1))
     sa = _inverse(levels.pop())[1:]
     a, b = sa[:-1].astype(np.int64), sa[1:].astype(np.int64)
     while levels:

@@ -125,6 +125,37 @@ def brute_lz_end_greedy(s):
     return tuple(out)
 
 
+def definition_lz_end_greedy(s):
+    """Greedy end-aligned LZ as (start, length, source) triples, straight
+    from the definition but fast enough for a few thousand symbols: at the
+    phrase start i0, l runs down from min(LPF(i0), i0), and the first l
+    with some phrase end e <= i0 and s[e-l:e] == s[i0:i0+l] wins, its
+    source at the smallest such e.  The symbols become one character each,
+    so the longest previous factor and the comparisons are string searches
+    and slices."""
+    code = {c: chr(k) for k, c in enumerate(sorted(set(s)))}
+    t = "".join(code[c] for c in s)
+    n = len(t)
+    i = 0
+    ends = []  # 1-based ends of the phrases so far, increasing
+    out = []
+    while i < n:
+        lpf = 0    # some occurrence of t[i:i+lpf+1] starts before i
+        while i + lpf < n and t.find(t[i:i + lpf + 1], 0, i + lpf) >= 0:
+            lpf += 1
+        best, src = 0, None
+        for l in range(min(lpf, i), 0, -1):
+            e = next((e for e in ends if e >= l and t[e - l:e] == t[i:i + l]), None)
+            if e is not None:
+                best, src = l, e - l + 1
+                break
+        step = best if best else 1
+        out.append((i + 1, step, src))
+        ends.append(i + step)
+        i += step
+    return tuple(out)
+
+
 def brute_match_lengths(s, i0):
     """(j0, m) for every j0 < i0 whose suffix shares m >= 1 symbols with
     s[i0:], sorted by j0, by comparing symbols."""

@@ -26,6 +26,7 @@ from oracles import (
     brute_lz_shape,
     brute_match_lengths,
     decode_parsing,
+    definition_lz_end_greedy,
     exhaustive_lz_end_size,
     left_source_optimal_size,
     random_symbols,
@@ -285,6 +286,30 @@ def test_end_greedy_stress_vs_brute():
         assert triples(lz_end_greedy(Text(s))) == brute_lz_end_greedy(s), s
 
 
+def _tie_run_texts(rng, n=3000):
+    """Random texts over 4 and over n/30 symbols, whose one-symbol sources
+    tie at about 30 phrase ends, and periodic blocks with 0.1 % of their
+    symbols substituted."""
+    texts = []
+    for _ in range(2):
+        texts.append(tuple(rng.randrange(4) for _ in range(n)))
+        texts.append(tuple(rng.randrange(n // 30) for _ in range(n)))
+        block = [rng.randrange(4) for _ in range(rng.randint(3, 12))]
+        texts.append(tuple((c + rng.randrange(1, 4)) % 4 if rng.random() < 0.001 else c
+                           for c in (block * n)[:n]))
+    return texts
+
+
+def test_end_greedy_long_tie_runs_vs_definition():
+    # the walk over earlier-marked ends must stop at the leftmost source
+    # in runs of tied ends far longer than the brute-oracle texts have
+    for s in _tie_run_texts(random.Random(21)):
+        w = Text(s)
+        ctx, rev_ctx = build_suffix_context(w), build_suffix_context(reverse(w))
+        for x, fwd, rev in ((w, ctx, rev_ctx), (reverse(w), rev_ctx, ctx)):
+            assert triples(lz_end_greedy(x, fwd, rev)) == definition_lz_end_greedy(x.symbols), s
+
+
 def test_matcher_links_match_definition():
     rng = random.Random(15)
     texts = [(0,), (0, 1), (1, 0), (0, 0)]
@@ -326,6 +351,23 @@ def test_matcher_memory_is_linear():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, peak
+
+
+def test_end_greedy_memory_is_linear():
+    # the parse holds the reversal's symbol bytes, one byte per rank for the
+    # marks and two int32 links per rank: 3.8 MB before the links, 5.3 MB
+    # with them
+    rng = random.Random(16)
+    w = Text(tuple(rng.randrange(4) for _ in range(2 * 10**5)))
+    ctx, rev_ctx = build_suffix_context(w), build_suffix_context(reverse(w))
+    ctx.matcher
+    tracemalloc.start()
+    try:
+        lz_end_greedy(w, ctx, rev_ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
 
 
 def test_parse_memory_is_compact():
