@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Time the LZ layers of revsense on a fixed ladder of texts and write
+BENCH_<tag>.json.
+
+The cases are seeded random texts over 4 symbols at n = 10^3, 10^4, 10^5
+and 10^6 and over 1,000 symbols at n = 10^5, the unary text of 10^5
+symbols, the Fibonacci word F_26, the staircase word T_p 40 and the
+Thue-Morse prefix of 2^16 symbols.  Per case it records the best of
+--repeat wall times, in seconds, of:
+
+    suffix_context   build_suffix_context(w)
+    link_pass        lz._SuffixMatcher(ctx), the links z_no and z_end read
+    z                lz_parse(w, ctx) on a context with no link pass built,
+                     as a report without z_no or z_end runs it
+    z_given_links    lz_parse(w, ctx) once the link pass is built
+    z_no             lz_no_overlap(w, ctx) once the link pass is built
+    z_e              lz_end_greedy(w, ctx, rev_ctx) on a context with no
+                     link pass built, reverse(w)'s context given
+
+and the phrase counts z, z_no and z_e.  The JSON also records the commit,
+the core count, the Python and numpy versions and the peak RSS.
+
+    python3 scripts/bench_layers.py --tag T [--repeat K] [--out DIR] [--tiny]
+
+--tiny runs the same kinds of text at n <= 10^3, to check the script.
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import platform
+import random
+import resource
+import subprocess
+import sys
+import time
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np  # noqa: E402
+
+from revsense import lz  # noqa: E402
+from revsense.families import FamilySpec, generate  # noqa: E402
+from revsense.suffixes import SuffixContext, build_suffix_context  # noqa: E402
+from revsense.text import Text, reverse  # noqa: E402
+
+
+def _random(sigma, n):
+    rng = random.Random(n * 1009 + sigma)
+    return Text(tuple(rng.randrange(sigma) for _ in range(n)))
+
+
+def _thue_morse(n):
+    return Text(tuple(bin(i).count("1") & 1 for i in range(n)))
+
+
+def cases(tiny):
+    """(name, text) pairs of the ladder, or of its n <= 10^3 version."""
+    if tiny:
+        return [*((f"random4_{n}", _random(4, n)) for n in (10**2, 10**3)),
+                ("random1000_1000", _random(1000, 10**3)), ("unary_1000", Text((0,) * 10**3)),
+                ("F_14", generate(FamilySpec("fib", 14))), ("T_p_4", generate(FamilySpec("T_p", 4))),
+                ("thue_morse_512", _thue_morse(2**9))]
+    return [*((f"random4_{n}", _random(4, n)) for n in (10**3, 10**4, 10**5, 10**6)),
+            ("random1000_100000", _random(1000, 10**5)), ("unary_100000", Text((0,) * 10**5)),
+            ("F_26", generate(FamilySpec("fib", 26))), ("T_p_40", generate(FamilySpec("T_p", 40))),
+            ("thue_morse_65536", _thue_morse(2**16))]
+
+
+def _best(repeat, fn):
+    """Best wall time of `repeat` calls of fn() and the last result."""
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        out = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
+
+
+def measure(w, repeat):
+    ctx = build_suffix_context(w)
+    rev_ctx = build_suffix_context(reverse(w))
+
+    def unlinked():
+        # the same arrays with no link pass cached
+        return SuffixContext(ctx.sa, ctx.isa, ctx.lcp)
+
+    seconds, counts = {}, {}
+    seconds["suffix_context"], _ = _best(repeat, lambda: build_suffix_context(w))
+    seconds["link_pass"], _ = _best(repeat, lambda: lz._SuffixMatcher(ctx))
+    seconds["z"], p = _best(repeat, lambda: lz.lz_parse(w, unlinked()))
+    counts["z"] = len(p)
+    linked = unlinked()
+    linked.matcher
+    seconds["z_given_links"], _ = _best(repeat, lambda: lz.lz_parse(w, linked))
+    seconds["z_no"], p = _best(repeat, lambda: lz.lz_no_overlap(w, linked))
+    counts["z_no"] = len(p)
+    seconds["z_e"], p = _best(repeat, lambda: lz.lz_end_greedy(w, unlinked(), rev_ctx))
+    counts["z_e"] = len(p)
+    return {"n": len(w), "counts": counts, "seconds": seconds}
+
+
+def _commit():
+    """The checkout's short commit id, marked +dirty when src/ differs from it."""
+    try:
+        head = subprocess.run(["git", "rev-parse", "--short", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True, check=True).stdout.strip()
+        dirty = subprocess.run(["git", "status", "--porcelain", "src"], cwd=ROOT,
+                               capture_output=True, text=True, check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return head + ("+dirty" if dirty else "")
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--tag", required=True, help="names the output file BENCH_<tag>.json")
+    ap.add_argument("--repeat", type=int, default=3, help="timed calls per layer; the best counts")
+    ap.add_argument("--out", default=str(ROOT), help="output directory (default: the repo root)")
+    ap.add_argument("--tiny", action="store_true", help="texts of at most 10^3 symbols")
+    args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be positive")
+    result = {"commit": _commit(), "cores": os.cpu_count(), "python": platform.python_version(),
+              "numpy": np.__version__, "repeat": args.repeat, "cases": {}}
+    for name, w in cases(args.tiny):
+        result["cases"][name] = row = measure(w, args.repeat)
+        print(name, row["n"], " ".join(f"{k}={v:.4f}" for k, v in row["seconds"].items()),
+              file=sys.stderr)
+    result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    path = pathlib.Path(args.out) / f"BENCH_{args.tag}.json"
+    path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

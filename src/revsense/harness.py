@@ -36,13 +36,21 @@ DEFAULT_NODE_BUDGET = 10**6
 
 
 class _MeasureRunner:
-    """Evaluates measures on one text, sharing the suffix context; r_dollar
-    reads its rotation order of w$ off it too, so it sorts nothing.  z_e also
-    reads `rev_ctx`, the reversal's `ctx`; a report hands both to the reversal."""
+    """Evaluates the given measures on one text, sharing the suffix context;
+    r_dollar reads its rotation order of w$ off it too, so it sorts nothing.
+    z_e also reads `rev_ctx`, the reversal's `ctx`; a report hands both to
+    the reversal.
 
-    def __init__(self, w: Text, node_budget: int = DEFAULT_NODE_BUDGET):
+    When z_no or z_end is among the measures, the LZ link pass
+    (`SuffixContext.matcher`), which they read at every rank, is built
+    before z and z_e parse, and those read it too; otherwise z and z_e mark
+    earlier ranks and no link pass is built."""
+
+    def __init__(self, w: Text, measures: Iterable[str],
+                 node_budget: int = DEFAULT_NODE_BUDGET):
         self.w = w
         self.node_budget = node_budget
+        self.links = not {"z_no", "z_end"}.isdisjoint(measures)
 
     @functools.cached_property
     def ctx(self) -> SuffixContext:
@@ -52,14 +60,19 @@ class _MeasureRunner:
     def rev_ctx(self) -> SuffixContext:
         return build_suffix_context(reverse(self.w))
 
+    def _lz_ctx(self) -> SuffixContext:
+        if self.links:
+            self.ctx.matcher
+        return self.ctx
+
     # z and z_e keep their parses, which z_end's search starts from
     @functools.cached_property
     def lz(self) -> Parsing:
-        return lz_parse(self.w, self.ctx)
+        return lz_parse(self.w, self._lz_ctx())
 
     @functools.cached_property
     def lz_end(self) -> Parsing:
-        return lz_end_greedy(self.w, self.ctx, self.rev_ctx)
+        return lz_end_greedy(self.w, self._lz_ctx(), self.rev_ctx)
 
     # r and r_b keep their transforms, which verify checks against the closed
     # forms; named by transform_predictions' variants, looked up at call time
@@ -100,7 +113,7 @@ def _runner(w: Text, measures: list[str], node_budget: int) -> _MeasureRunner:
         raise KeyError(f"unknown measure id {unknown[0]!r}")
     if len(w) == 0:
         raise ValueError("measures require a non-empty text")
-    return _MeasureRunner(w, node_budget)
+    return _MeasureRunner(w, measures, node_budget)
 
 
 def evaluate(
@@ -139,7 +152,7 @@ def sensitivity_report(
     wanted = sorted(set(measures))
     runner = _runner(w, wanted, node_budget)
     fwd = [MEASURES[m](runner) for m in wanted]
-    rev_runner = _MeasureRunner(reverse(w), node_budget)
+    rev_runner = _MeasureRunner(reverse(w), wanted, node_budget)
     if "rev_ctx" in vars(runner):
         # z_e sorted reverse(w): hand that over, and w's arrays as the reversal's
         # rev_ctx; w's matcher is left out, so it dies with `runner`
@@ -257,8 +270,9 @@ def verify(
     for param in params:
         spec = FamilySpec(family, param)
         w = generate(spec)
-        runner = _MeasureRunner(w, node_budget)
-        for pred in predictions(spec):
+        preds = predictions(spec)
+        runner = _MeasureRunner(w, [pred.measure for pred in preds], node_budget)
+        for pred in preds:
             computed, exact = MEASURES[pred.measure](runner)
             ok = exact and computed == pred.value
             rows.append(VerifyRow(family, param, pred.measure, pred.value, computed, ok))

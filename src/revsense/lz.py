@@ -23,6 +23,13 @@ character.  The variants differ only in which sources qualify:
                     parsing; greedy end-aligned parsing is not optimal
                     in general.  The search keeps no per-position arrays:
                     O(n) memory besides the candidates on its path.
+
+z and the bound L of z_e read the longest previous factor only at phrase
+starts.  Where the link pass (`_SuffixMatcher`, each rank's nearest
+earlier-starting ranks) is not built, they mark the ranks of the positions
+passed and search the marks instead (`_earlier_matches`), so they make no
+pass over all ranks.  z_no's walk and z_end's lower bound read the links
+at every rank; where those are built, z and z_e read them too.
 """
 
 from __future__ import annotations
@@ -82,7 +89,8 @@ class Parsing:
 
 
 class _SuffixMatcher:
-    """Longest-match machinery over a suffix context.
+    """Longest-match links over a suffix context, read by z_no's walk and
+    z_end's lower bound at every rank, and by z and z_e when built.
 
     psv[r] / nsv[r] is the nearest rank before / after r whose suffix
     starts earlier, or -1; plcp[r] / nlcp[r] is the lcp of the suffixes
@@ -156,6 +164,47 @@ class _SuffixMatcher:
         return best, src
 
 
+def _earlier_matches(w: Text, ctx: SuffixContext):
+    """`_SuffixMatcher.longest_earlier_match` for a parse that asks at
+    increasing positions, with no pass over all ranks when the link pass is
+    not built already.
+
+    Before answering at i0 it marks the ranks of the positions < i0 in a
+    byte array, so the nearest earlier-starting rank on each side of
+    isa[i0], psv or nsv, is a byte search in C for the nearest mark, and the
+    longest previous factor is the longer lcp with them (Kärkkäinen, Kempa
+    & Puglisi, CPM 2013).  A found rank whose suffix starts with another
+    symbol has lcp 0; otherwise the lcp is the minimum of `ctx.lcp` over the
+    ranks between, so only ranks of one first symbol are ever scanned.  A
+    parse pays O(n) for the marks plus, per phrase, two byte searches and
+    those scans.
+    """
+    if "matcher" in vars(ctx):
+        return ctx.matcher.longest_earlier_match
+    sa, isa, lcp, s = ctx.sa, ctx.isa, ctx.lcp, w.symbols
+    marked = bytearray(len(sa))
+    rfind, find = marked.rfind, marked.find
+    done = 0     # the positions < done are marked
+
+    def longest_earlier_match(i0: int) -> tuple[int, int | None]:
+        nonlocal done
+        for r in isa[done:i0]:
+            marked[r] = 1
+        done = i0
+        r, c = isa[i0], s[i0]
+        ell, src = 0, None
+        # lcp[x] is the lcp of ranks x - 1 and x
+        a = rfind(1, 0, r)
+        if a >= 0 and s[sa[a]] == c:
+            ell, src = min(lcp[a + 1:r + 1]), sa[a]
+        b = find(1, r)
+        if b >= 0 and s[sa[b]] == c and (m := min(lcp[r + 1:b + 1])) > ell:
+            ell, src = m, sa[b]
+        return ell, src
+
+    return longest_earlier_match
+
+
 def _match_lengths(ctx: SuffixContext, i0: int) -> list[tuple[int, int]]:
     """(j0, m) for every j0 < i0 whose suffix shares m >= 1 symbols with
     w[i0:], sorted by j0.  Those suffixes are the ranks around isa[i0]:
@@ -203,8 +252,14 @@ def _greedy_parse(w: Text, ctx: SuffixContext | None, rule, variant: str) -> Par
 
 
 def lz_parse(w: Text, ctx: SuffixContext | None = None) -> Parsing:
-    """Greedy LZ with self-overlap allowed; phrase count = z(w)."""
-    return _greedy_parse(w, ctx, attrgetter("matcher.longest_earlier_match"), "lz")
+    """Greedy LZ with self-overlap allowed; phrase count = z(w).
+
+    Each phrase is the longest previous factor at its start, read off the
+    links of `ctx.matcher` when they are built, and off marked earlier
+    ranks (`_earlier_matches`) when not: O(n) for the marks plus, per
+    phrase, two byte searches and a scan of `ctx.lcp` between ranks of one
+    first symbol."""
+    return _greedy_parse(w, ctx, functools.partial(_earlier_matches, w), "lz")
 
 
 def lz_no_overlap(w: Text, ctx: SuffixContext | None = None) -> Parsing:
@@ -245,7 +300,7 @@ def lz_end_greedy(w: Text, ctx: SuffixContext | None = None,
     is refused), the marked ends that pass form one run of ranks around the
     rank of w[:i0+l].  Feasible lengths are not downward closed, so l runs
     down from L = min(LPF(i0), i0), the longest earlier match bounding any
-    source, and the first l that passes wins: a phrase costs L - l + 1
+    source, read as `lz_parse` reads it, and the first l that passes wins: a phrase costs L - l + 1
     checks of the nearest marked end on each side of that rank.
 
     The leftmost source is the one at the smallest passing end, the earliest
@@ -270,7 +325,7 @@ def lz_end_greedy(w: Text, ctx: SuffixContext | None = None,
         raise ValueError(f"a reverse suffix context of {len(rev_ctx)} suffixes for a text of length {n}")
 
     def rule(ctx: SuffixContext):
-        earlier = ctx.matcher.longest_earlier_match
+        earlier = _earlier_matches(w, ctx)
         rev = rev_ctx or build_suffix_context(reverse(w))
         # positions are reverse(w)'s: w[:e] is its suffix at n - e, of rank isa[n - e];
         # buf holds its symbol ranks as int32 bytes, 4 per symbol, so checks compare in C

@@ -51,9 +51,10 @@ class SuffixContext:
 
     @functools.cached_property
     def matcher(self):
-        """The LZ longest-match structure over these arrays, built on first
-        use and kept for the life of the context; every LZ parser of the
-        text reads it, so it is built once per text."""
+        """The LZ link pass over these arrays (`lz._SuffixMatcher`), built
+        on first use and kept for the life of the context, so at most once
+        per text.  z_no and z_end's lower bound build it; z and z_e read it
+        once it is built and otherwise build nothing (`lz._earlier_matches`)."""
         from . import lz    # lz imports this module
         return lz._SuffixMatcher(self)
 

@@ -1,0 +1,26 @@
+"""scripts/bench_layers.py on its tiny ladder: it runs and writes every key."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+SCRIPT = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "bench_layers.py"
+
+
+def test_tiny_ladder_writes_every_key(tmp_path):
+    subprocess.run([sys.executable, str(SCRIPT), "--tag", "tiny", "--tiny", "--repeat", "1",
+                    "--out", str(tmp_path)], check=True, capture_output=True)
+    out = json.loads((tmp_path / "BENCH_tiny.json").read_text(encoding="utf-8"))
+    assert set(out) == {"commit", "cores", "python", "numpy", "repeat", "cases", "peak_rss_mb"}
+    assert out["repeat"] == 1 and out["cores"] >= 1
+    assert set(out["cases"]) == {"random4_100", "random4_1000", "random1000_1000", "unary_1000",
+                                 "F_14", "T_p_4", "thue_morse_512"}
+    for row in out["cases"].values():
+        assert 0 < row["n"] <= 10**3
+        assert set(row["seconds"]) == {"suffix_context", "link_pass", "z", "z_given_links",
+                                       "z_no", "z_e"}
+        assert all(s >= 0 for s in row["seconds"].values())
+        counts = row["counts"]
+        assert set(counts) == {"z", "z_no", "z_e"}
+        assert 1 <= counts["z"] <= min(counts["z_no"], counts["z_e"])

@@ -11,6 +11,7 @@ from revsense.lz import (
     Parsing,
     Phrase,
     _SuffixMatcher,
+    _earlier_matches,
     _match_lengths,
     lz_end_greedy,
     lz_end_optimal,
@@ -310,7 +311,8 @@ def test_end_greedy_long_tie_runs_vs_definition():
             assert triples(lz_end_greedy(x, fwd, rev)) == definition_lz_end_greedy(x.symbols), s
 
 
-def test_matcher_links_match_definition():
+def _link_texts():
+    """Short texts, random and periodic, over 1 to 4 symbols."""
     rng = random.Random(15)
     texts = [(0,), (0, 1), (1, 0), (0, 0)]
     for k in range(1500):
@@ -321,7 +323,11 @@ def test_matcher_links_match_definition():
             texts.append((block * n)[:n])
         else:
             texts.append(tuple(rng.randrange(sigma) for _ in range(n)))
-    for s in texts:
+    return texts
+
+
+def test_matcher_links_match_definition():
+    for s in _link_texts():
         n = len(s)
         m = build_suffix_context(Text(s)).matcher
         sa = m.sa
@@ -336,6 +342,51 @@ def test_matcher_links_match_definition():
                 while x >= 0 and sa[r] + ell < n and s[sa[x] + ell] == s[sa[r] + ell]:
                     ell += 1
                 assert link == ell, (s, r)
+
+
+def test_marked_matches_equal_the_links():
+    # asked at every position in increasing order, the marks of the earlier
+    # ranks give the link pass's answer, length and source
+    for s in _link_texts():
+        ctx = build_suffix_context(Text(s))
+        marked = _earlier_matches(Text(s), ctx)
+        linked = _SuffixMatcher(ctx).longest_earlier_match
+        for i0 in range(len(s)):
+            assert marked(i0) == linked(i0), (s, i0)
+
+
+def _texts_with_and_without_links():
+    rng = random.Random(19)
+    for w in (generate(FamilySpec("fib", 26)), generate(FamilySpec("T_p", 30)),
+              generate(FamilySpec("T_p_rev", 30)), Text(_thue_morse(2**16)),
+              Text(tuple(rng.randrange(1000) for _ in range(10**4)))):
+        yield w
+        yield reverse(w)
+
+
+def test_parses_equal_with_and_without_links():
+    for w in _texts_with_and_without_links():
+        ctx, rev_ctx = build_suffix_context(w), build_suffix_context(reverse(w))
+        marked = lz_parse(w, ctx), lz_end_greedy(w, ctx, rev_ctx)
+        assert "matcher" not in vars(ctx)
+        ctx.matcher
+        linked = lz_parse(w, ctx), lz_end_greedy(w, ctx, rev_ctx)
+        for p, q in zip(marked, linked):
+            assert p.bounds == q.bounds and p.sources == q.sources, (len(w), p.variant)
+
+
+def test_lz_parse_scales_without_links():
+    # T_p 40, n = 674,859: the link pass alone takes about 0.15 s; without
+    # the first-symbol check the marked ranks' lcp scans cover about 62 n
+    # ranks, and the parse 0.74 s
+    w = generate(FamilySpec("T_p", 40))
+    ctx = build_suffix_context(w)
+    t0 = time.perf_counter()
+    p = lz_parse(w, ctx)
+    elapsed = time.perf_counter() - t0
+    assert "matcher" not in vars(ctx)
+    assert len(p) == 2460
+    assert elapsed < 0.3, elapsed
 
 
 def test_matcher_memory_is_linear():
@@ -385,6 +436,22 @@ def test_parse_memory_is_compact():
         tracemalloc.stop()
     assert len(p) > 20000
     assert held < 2 * 2**20, held
+
+
+def test_parse_without_links_memory_is_compact():
+    # the marks take one byte per rank; the link pass adds four lists of
+    # n ints, 11.7 MB peak with the parse here
+    rng = random.Random(16)
+    w = Text(tuple(rng.randrange(4) for _ in range(2 * 10**5)))
+    ctx = build_suffix_context(w)
+    tracemalloc.start()
+    try:
+        lz_parse(w, ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "matcher" not in vars(ctx)
+    assert peak < 3 * 2**20, peak
 
 
 def _from_phrases(phrases, variant):
