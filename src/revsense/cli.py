@@ -85,10 +85,7 @@ def _load_text(args: argparse.Namespace) -> Text:
     if args.input is not None and args.param is not None:
         raise CliError("--param applies to --family only, not to --input")
     if args.family is not None:
-        try:
-            w = generate(FamilySpec(args.family, args.param))
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
+        w = generate(FamilySpec(args.family, args.param))
     else:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:
@@ -96,7 +93,7 @@ def _load_text(args: argparse.Namespace) -> Text:
         except UnicodeDecodeError as exc:
             raise CliError(f"{args.input}: not UTF-8 text ({exc.reason} at byte {exc.start})"
                            ) from exc
-        except (OSError, textio.SerializationError) as exc:
+        except OSError as exc:
             raise CliError(str(exc)) from exc
     if args.reverse:
         w = reverse(w)
@@ -118,21 +115,14 @@ def _emit(payload: str, output: str | None) -> None:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     w = _load_text(args)
-    try:
-        payload = textio.dump(w, args.format or "tokens")
-    except textio.SerializationError as exc:
-        raise CliError(str(exc)) from exc
-    _emit(payload, args.output)
+    _emit(textio.dump(w, args.format or "tokens"), args.output)
     return EXIT_OK
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
     measures = _parse_measures(args.measures)
     w = _load_text(args)
-    try:
-        results = evaluate(w, measures, args.node_budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    results = evaluate(w, measures, args.node_budget)
     lines = [f"{m}={value}" + ("" if exact else " exact=false")
              for m, (value, exact) in zip(measures, results)]
     _emit("\n".join(lines) + "\n", args.output)
@@ -142,10 +132,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     measures = _parse_measures(args.measures)
     params = _parse_range(args.range) if args.range else [None]
-    try:
-        rows = sweep(args.family, params, measures, args.node_budget)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    rows = sweep(args.family, params, measures, args.node_budget)
     _emit(rows_to_csv(rows), args.csv)
     return EXIT_OK
 
@@ -177,11 +164,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = 0
     total = 0
     for fam, params in units:
-        try:
-            rows = verify(fam, params, args.node_budget)
-        except ValueError as exc:
-            raise CliError(str(exc)) from exc
-        for r in rows:
+        for r in verify(fam, params, args.node_budget):
             total += 1
             status = "pass" if r.ok else "FAIL"
             failed += 0 if r.ok else 1
@@ -210,15 +193,13 @@ def cmd_show(args: argparse.Namespace) -> int:
         s = w.symbols
         starts = (0,) if args.view == "bwt" else lyndon_starts(w)
         bounds = starts + (len(s),)
-        rows = []
         order = cyclic_rotation_order(w, starts)
-        for p in order.tolist():
+        for row, p in enumerate(order.tolist(), start=1):
             i = bisect_right(starts, p)
-            rows.append(s[p:bounds[i]] + s[bounds[i - 1]:p])
-        result = (bwt if args.view == "bwt" else bbwt)(w, order)
-        for i, rot in enumerate(rows, start=1):
+            rot = s[p:bounds[i]] + s[bounds[i - 1]:p]
             body = " ".join(w.name_of(r) for r in rot[:-1])
-            lines.append(f"{i:>4}  {body} | {w.name_of(rot[-1])}")
+            lines.append(f"{row:>4}  {body} | {w.name_of(rot[-1])}")
+        result = (bwt if args.view == "bwt" else bbwt)(w, order)
         lines.append(f"{args.view}: {result.output.display()}   runs={result.run_count}")
     else:
         parsing = PARSE_VIEWS[args.view](w)
@@ -237,6 +218,7 @@ def _add_text_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("ascii", "tokens"),
                    help="serialization (default: tokens for gen, autodetect for files)")
     p.add_argument("--reverse", action="store_true", help="operate on the reversal")
+    p.add_argument("--output", help="write to a file instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -246,14 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a family string")
     _add_text_source(p)
-    p.add_argument("--output", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("measure", help="compute measures for a text")
     _add_text_source(p)
     p.add_argument("--measures", required=True, help="comma separated measure ids")
     p.add_argument("--node-budget", type=_positive_int, default=DEFAULT_NODE_BUDGET)
-    p.add_argument("--output", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("sweep", help="parameter sweep to CSV")
@@ -275,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("show", help="annotated rotation matrix or parse listing")
     _add_text_source(p)
     p.add_argument("--view", required=True, choices=("bwt", "bbwt", *PARSE_VIEWS))
-    p.add_argument("--output", help="write to a file instead of stdout")
     p.set_defaults(func=cmd_show)
     return parser
 
@@ -285,9 +264,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ValueError) as exc:
+        # a ValueError is a library refusal, textio.SerializationError included
         print(f"revsense: {exc}", file=sys.stderr)
-        return exc.code
+        return exc.code if isinstance(exc, CliError) else EXIT_USAGE
     except BrokenPipeError:
         return EXIT_OK
 

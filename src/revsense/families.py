@@ -280,24 +280,16 @@ VERIFY_GRIDS: dict[str, tuple[Sequence[int | None], Sequence[int | None]]] = {
 
 def predict(spec: FamilySpec, measure: str) -> Prediction | None:
     """Closed-form value of a measure on this family member, if known."""
-    table = _PREDICTORS.get(spec.family)
-    if not table or measure not in table:
-        return None
-    gate, value, formula = table[measure]
-    param = spec.param if spec.param is not None else 0
-    if not gate(param):
-        return None
-    return Prediction(measure, value(param), formula)
+    return next((p for p in predictions(spec) if p.measure == measure), None)
 
 
 def predictions(spec: FamilySpec) -> tuple[Prediction, ...]:
+    """Every closed-form measure value known for this family member, in
+    measure id order; a family without a parameter is gated as param 0."""
+    param = spec.param if spec.param is not None else 0
     table = _PREDICTORS.get(spec.family, {})
-    out = []
-    for measure in sorted(table):
-        p = predict(spec, measure)
-        if p is not None:
-            out.append(p)
-    return tuple(out)
+    return tuple(Prediction(measure, value(param), formula)
+                 for measure, (gate, value, formula) in sorted(table.items()) if gate(param))
 
 
 # ---------------------------------------------------------------------------

@@ -41,16 +41,16 @@ class _MeasureRunner:
     z_e also reads `rev_ctx`, the reversal's `ctx`; a report hands both to
     the reversal.
 
-    When z_no or z_end is among the measures, the LZ link pass
-    (`SuffixContext.matcher`), which they read at every rank, is built
-    before z and z_e parse, and those read it too; otherwise z and z_e mark
-    earlier ranks and no link pass is built."""
+    When z_no is among the measures, the LZ link pass
+    (`SuffixContext.matcher`), which it reads at every rank, is built
+    before z and z_e parse, and those and z_end's lower bound read it too;
+    otherwise they mark earlier ranks and no link pass is built."""
 
     def __init__(self, w: Text, measures: Iterable[str],
                  node_budget: int = DEFAULT_NODE_BUDGET):
         self.w = w
         self.node_budget = node_budget
-        self.links = not {"z_no", "z_end"}.isdisjoint(measures)
+        self.links = "z_no" in measures
 
     @functools.cached_property
     def ctx(self) -> SuffixContext:

@@ -24,12 +24,13 @@ character.  The variants differ only in which sources qualify:
                     in general.  The search keeps no per-position arrays:
                     O(n) memory besides the candidates on its path.
 
-z and the bound L of z_e read the longest previous factor only at phrase
-starts.  Where the link pass (`_SuffixMatcher`, each rank's nearest
-earlier-starting ranks) is not built, they mark the ranks of the positions
-passed and search the marks instead (`_earlier_matches`), so they make no
-pass over all ranks.  z_no's walk and z_end's lower bound read the links
-at every rank; where those are built, z and z_e read them too.
+z, the bound L of z_e and z_end's lower bound read the longest previous
+factor at increasing positions.  Where the link pass (`_SuffixMatcher`,
+each rank's nearest earlier-starting ranks) is not built, they mark the
+ranks of the positions passed and search the marks instead
+(`_earlier_matches`), so they make no pass over all ranks.  z_no's walk
+reads the links at every rank; where those are built, the others read
+them too.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ class Parsing:
 
 
 class _SuffixMatcher:
-    """Longest-match links over a suffix context, read by z_no's walk and
-    z_end's lower bound at every rank, and by z and z_e when built.
+    """Longest-match links over a suffix context, read by z_no's walk at
+    every rank, and by z, z_e and z_end's lower bound when built.
 
     psv[r] / nsv[r] is the nearest rank before / after r whose suffix
     starts earlier, or -1; plcp[r] / nlcp[r] is the lcp of the suffixes
@@ -165,9 +166,9 @@ class _SuffixMatcher:
 
 
 def _earlier_matches(w: Text, ctx: SuffixContext):
-    """`_SuffixMatcher.longest_earlier_match` for a parse that asks at
-    increasing positions, with no pass over all ranks when the link pass is
-    not built already.
+    """`_SuffixMatcher.longest_earlier_match` for a caller that asks at
+    increasing positions (a parse, or z_end's lower bound at every one),
+    with no pass over all ranks when the link pass is not built already.
 
     Before answering at i0 it marks the ranks of the positions < i0 in a
     byte array, so the nearest earlier-starting rank on each side of
@@ -382,8 +383,9 @@ def lz_end_optimal(
     parse and the greedy end-aligned parse have the same size the
     greedy end-aligned parsing is already optimal.  Otherwise a
     depth-first search over (position, boundary set) states runs with
-    branch-and-bound pruning.  A node that passes the bound reads the
-    earlier matches of its position off `ctx` (`_match_lengths`) and
+    branch-and-bound pruning; the bound reads the longest earlier match
+    at every position (`_earlier_matches`).  A node that passes the bound
+    reads the earlier matches of its position off `ctx` (`_match_lengths`) and
     keeps none, so the search holds O(n) memory (the bound, the path and
     one node's matches) besides the candidate lengths of the nodes on
     the path, at most LPF(i0) at position i0.  Exactness is False when
@@ -405,10 +407,10 @@ def lz_end_optimal(
         return Parsing(greedy.bounds, greedy.sources, "lz_end"), True
 
     n = len(w)
-    matcher = ctx.matcher
+    earlier = _earlier_matches(w, ctx)
     # Lower bound ignoring end-alignment: greedy jumps over the longest
     # earlier match are optimal for that relaxation.
-    maxlen = [max(1, matcher.longest_earlier_match(i)[0]) for i in range(n)]
+    maxlen = [max(1, earlier(i)[0]) for i in range(n)]
     lb = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         lb[i] = 1 + lb[i + maxlen[i]]

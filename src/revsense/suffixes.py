@@ -53,7 +53,7 @@ class SuffixContext:
     def matcher(self):
         """The LZ link pass over these arrays (`lz._SuffixMatcher`), built
         on first use and kept for the life of the context, so at most once
-        per text.  z_no and z_end's lower bound build it; z and z_e read it
+        per text.  z_no builds it; z, z_e and z_end's lower bound read it
         once it is built and otherwise build nothing (`lz._earlier_matches`)."""
         from . import lz    # lz imports this module
         return lz._SuffixMatcher(self)

@@ -24,25 +24,19 @@ class SerializationError(ValueError):
 
 
 def to_ascii(w: Text) -> str:
-    chars = []
-    seen: dict[int, str] = {}
-    for r in sorted(set(w.symbols)):
-        name = w.name_of(r)
+    names = {r: w.name_of(r) for r in sorted(set(w.symbols))}
+    for name in names.values():
         if len(name) != 1 or not (32 < ord(name) < 127):
             raise SerializationError(
                 f"symbol {name!r} has no single printable ASCII form; use the tokens format"
             )
         if name == SENTINEL_NAME:
             raise SerializationError('"$" is reserved and cannot be serialized')
-        seen[r] = name
-    order = [seen[r] for r in sorted(seen)]
-    if order != sorted(order):
+    if list(names.values()) != sorted(names.values()):
         raise SerializationError(
             "ASCII character order disagrees with the symbol order; use the tokens format"
         )
-    for r in w.symbols:
-        chars.append(seen[r])
-    return "".join(chars)
+    return "".join(map(names.__getitem__, w.symbols))
 
 
 def from_ascii(data: str) -> Text:

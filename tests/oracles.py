@@ -14,6 +14,9 @@ The helpers at the end are test-only API over the library: `concat`,
 the paper reports positions), the per-length counts that `delta` maximizes
 (`distinct_substring_counts`), and the five central-word properties of
 the Fibonacci words (`fib_property_check`).
+
+`MEASURE_LATTICE` lists the inequalities between measures that every text
+satisfies, each with where it comes from.
 """
 
 from __future__ import annotations
@@ -449,3 +452,30 @@ def fib_property_check(k: int) -> FibPropertyReport:
     tail, other = (ab, ba) if k % 2 else (ba, ab)
     parity = f_k == concat(c_k, tail) and concat(f_k2, f_k1) == concat(c_k, other)
     return FibPropertyReport(palindrome, telescoped, bracket, triple, parity)
+
+
+OBSERVED = "observed"
+
+# (name, predicate over {measure id: value}, source).  A row cites its paper
+# only where the published convention is this code's.  The e rows are
+# observed: r_dollar <= e fails here (e("a") = 1, r_dollar("a") = 2), so this
+# code's e, which counts no `$` extension, is not the e of the CPM 2015
+# bounds z <= e and r <= e.  delta <= r is observed too: the published bound
+# reads the BWT of w$, not this code's cyclic r.  Two rows that look alike
+# are false here and left out: r_dollar <= e, and v <= z_no
+# (v("010110") = 5, z_no = 4).
+MEASURE_LATTICE = (
+    ("z <= e", lambda m: m["z"] <= m["e"], OBSERVED),
+    ("r <= e", lambda m: m["r"] <= m["e"], OBSERVED),
+    ("r_b <= e", lambda m: m["r_b"] <= m["e"], OBSERVED),
+    ("z_end <= e", lambda m: m["z_end"] <= m["e"], OBSERVED),
+    ("r_dollar <= e + 1", lambda m: m["r_dollar"] <= m["e"] + 1, OBSERVED),
+    ("v <= 2*r_dollar", lambda m: m["v"] <= 2 * m["r_dollar"],
+     'Navarro, Ochoa & Prezza, "On the approximation ratio of ordered parsings", '
+     "IEEE TIT 2021"),
+    ("delta <= v", lambda m: m["delta"] <= m["v"],
+     'Kociumaka, Navarro & Prezza, "Towards a definitive measure of repetitiveness", '
+     "IEEE TIT 2023"),
+    ("delta <= r", lambda m: m["delta"] <= m["r"], OBSERVED),
+    ("delta <= r_b", lambda m: m["delta"] <= m["r_b"], OBSERVED),
+)

@@ -9,7 +9,9 @@ form is asserted green alongside, so the guards flag loudly if either
 side ever changes.
 """
 
+import itertools
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -24,7 +26,7 @@ from revsense.families import (
     generate,
     predict_transform,
 )
-from revsense.harness import rows_from_csv, rows_to_csv, sweep
+from revsense.harness import rows_from_csv, rows_to_csv, sensitivity_report, sweep
 from revsense.lexparse import lex_parse
 from revsense.lz import lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
 from revsense.measures import right_extension_count, substring_complexity
@@ -32,6 +34,7 @@ from revsense.suffixes import build_suffix_context, cyclic_rotation_order
 from revsense.text import Text, reverse
 
 from oracles import (
+    MEASURE_LATTICE,
     brute_lz_shape,
     concat,
     fib_property_check,
@@ -318,6 +321,40 @@ def test_criterion_8e_lyndon_closure():
             bad += 1
         checked += 1
     report("8e", bad == 0, f"Lyndon concatenation closure on 10^4 pairs, {bad} violations")
+
+
+def _lattice_violations(w, rows):
+    """(row name, orientation) for every row of `rows` that w or its reversal breaks;
+    a budget-limited value counts as a violation."""
+    ids = {m for name, _, _ in rows for m in re.findall(r"[a-z_]+", name)}
+    reports = sensitivity_report(w, ids)
+    bad = [("exact", None)] if not all(rep.exact for rep in reports) else []
+    for orientation in ("value_fwd", "value_rev"):
+        values = {rep.measure: getattr(rep, orientation) for rep in reports}
+        bad += [(name, orientation) for name, holds, _ in rows if not holds(values)]
+    return bad
+
+
+def test_criterion_8f_measure_lattice_exhaustive():
+    texts = [s for sigma, top in ((2, 10), (3, 6)) for n in range(1, top + 1)
+             for s in itertools.product(range(sigma), repeat=n)]
+    assert len(texts) == 3138
+    bad = [(s, v) for s in texts for v in _lattice_violations(Text(s), MEASURE_LATTICE)]
+    report("8f", not bad, f"the {len(MEASURE_LATTICE)} lattice rows on all binary n<=10 and "
+                          f"ternary n<=6, both orientations, {len(bad)} violations {bad[:3]}")
+
+
+@pytest.mark.parametrize("text", ["F_20", "random sigma=4 n=10^4"])
+def test_criterion_8f_measure_lattice_large(text):
+    # z_end's search spends its whole budget on F_20's reversal, so its row is left out
+    if text == "F_20":
+        w = fibonacci_word(20)
+    else:
+        rng = random.Random(717273)
+        w = Text(tuple(rng.randrange(4) for _ in range(10**4)))
+    rows = [row for row in MEASURE_LATTICE if "z_end" not in row[0]]
+    bad = _lattice_violations(w, rows)
+    report("8f", not bad, f"{len(rows)} lattice rows on {text}, both orientations, {bad}")
 
 
 def test_criterion_9_asymptotics_via_sweep_columns():

@@ -333,3 +333,27 @@ def test_unwritable_output_exits_2(command, target, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"revsense: {path}: {os.strerror(code)}\n"
+
+
+@pytest.mark.parametrize("command, raiser", [
+    (["gen", "--family", "w_sigma", "--param", "3"], "FamilySpec"),
+    (["measure", "--family", "w_sigma", "--param", "3", "--measures", "z"], "FamilySpec"),
+    (["sweep", "--family", "w_sigma", "--range", "3:3", "--measures", "z"], "sweep"),
+    (["verify", "--family", "w_sigma", "--range", "3:3"], "verify"),
+])
+def test_library_refusal_exits_2(command, raiser, monkeypatch, capsys):
+    from revsense.families import FamilySpec
+    with pytest.raises(ValueError) as refusal:
+        FamilySpec("w_sigma", 3)
+    assert run_cli(*command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"revsense: {refusal.value}\n"
+
+    # only a ValueError is a refusal; any other error still propagates
+    def broken(*args, **kwargs):
+        raise RuntimeError("not a refusal")
+
+    monkeypatch.setattr(cli, raiser, broken)
+    with pytest.raises(RuntimeError, match="not a refusal"):
+        run_cli(*command)

@@ -98,10 +98,12 @@ def test_report_without_lz_builds_no_matcher(monkeypatch):
         init(self, *args)
 
     monkeypatch.setattr(lz._SuffixMatcher, "__init__", counted)
-    for w in (Text.from_str("abracadabracabra"), generate(FamilySpec("c_fib_rev", 11))):
+    search = Text.from_str("101000100001100010000100")
+    assert len(lz.lz_parse(search)) != len(lz.lz_end_greedy(search))   # z_end runs its search
+    for w in (Text.from_str("abracadabracabra"), generate(FamilySpec("c_fib_rev", 11)), search):
         sensitivity_report(w, ["v", "delta", "e"])
-        # z and z_e mark earlier ranks when no z_no or z_end reads the links
-        for ids in (["z"], ["z_e"], ["z", "z_e"]):
+        # z, z_e and z_end's bound mark earlier ranks when no z_no reads the links
+        for ids in (["z"], ["z_e"], ["z", "z_e"], ["z_end"], ["z", "z_e", "z_end"]):
             sensitivity_report(w, ids)
     assert builds == []
 
