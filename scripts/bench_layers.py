@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the LZ layers of revsense on a fixed ladder of texts and write
-BENCH_<tag>.json.
+"""Time the LZ layers and the other readers of a suffix context in
+revsense on a fixed ladder of texts and write BENCH_<tag>.json.
 
 The cases are seeded random texts over 4 symbols at n = 10^3, 10^4, 10^5
 and 10^6 and over 1,000 symbols at n = 10^5, the unary text of 10^5
@@ -16,9 +16,15 @@ Thue-Morse prefix of 2^16 symbols.  Per case it records the best of
     z_no             lz_no_overlap(w, ctx) once the link pass is built
     z_e              lz_end_greedy(w, ctx, rev_ctx) on a context with no
                      link pass built, reverse(w)'s context given
+    v                lex_parse(w, ctx)
+    e                right_extension_count(w, ctx)
+    delta            substring_complexity(w, ctx)
+    r_dollar         bwt_sentinel(w, ctx)
 
-and the phrase counts z, z_no and z_e.  The JSON also records the commit,
-the core count, the Python and numpy versions and the peak RSS.
+the values z, z_no, z_e, v, e and r_dollar, and context_mb, the MB that
+one built context holds (tracemalloc, w's dense ranks already derived).
+The JSON also records the commit, the core count, the Python and numpy
+versions and the peak RSS.
 
     python3 scripts/bench_layers.py --tag T [--repeat K] [--out DIR] [--tiny]
 
@@ -35,6 +41,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -42,6 +49,9 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np  # noqa: E402
 
 from revsense import lz  # noqa: E402
+from revsense.bwt import bwt_sentinel  # noqa: E402
+from revsense.lexparse import lex_parse  # noqa: E402
+from revsense.measures import right_extension_count, substring_complexity  # noqa: E402
 from revsense.families import FamilySpec, generate  # noqa: E402
 from revsense.suffixes import SuffixContext, build_suffix_context  # noqa: E402
 from revsense.text import Text, reverse  # noqa: E402
@@ -49,7 +59,8 @@ from revsense.text import Text, reverse  # noqa: E402
 
 def _random(sigma, n):
     rng = random.Random(n * 1009 + sigma)
-    return Text(tuple(rng.randrange(sigma) for _ in range(n)))
+    # every symbol shows as <r>, so none shows as the sentinel `$` (36) of r_dollar
+    return Text(tuple(rng.randrange(sigma) for _ in range(n)), {r: f"<{r}>" for r in range(sigma)})
 
 
 def _thue_morse(n):
@@ -99,7 +110,25 @@ def measure(w, repeat):
     counts["z_no"] = len(p)
     seconds["z_e"], p = _best(repeat, lambda: lz.lz_end_greedy(w, unlinked(), rev_ctx))
     counts["z_e"] = len(p)
-    return {"n": len(w), "counts": counts, "seconds": seconds}
+    seconds["v"], p = _best(repeat, lambda: lex_parse(w, ctx))
+    counts["v"] = len(p)
+    seconds["e"], counts["e"] = _best(repeat, lambda: right_extension_count(w, ctx))
+    seconds["delta"], _ = _best(repeat, lambda: substring_complexity(w, ctx))
+    seconds["r_dollar"], t = _best(repeat, lambda: bwt_sentinel(w, ctx))
+    counts["r_dollar"] = t.run_count
+    return {"n": len(w), "counts": counts, "seconds": seconds, "context_mb": _context_mb(w)}
+
+
+def _context_mb(w):
+    """MB that one built suffix context of w holds once the build returns."""
+    tracemalloc.start()
+    try:
+        ctx = build_suffix_context(w)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del ctx
+    return held / 2**20
 
 
 def _commit():

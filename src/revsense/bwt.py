@@ -17,12 +17,12 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, replace
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .suffixes import SuffixContext, build_suffix_context, cyclic_rotation_order
+from .suffixes import SuffixContext, context_for, cyclic_rotation_order
 from .text import Text, _derived, lyndon_starts
 from .textio import SENTINEL_NAME
 
@@ -101,10 +101,10 @@ def bwt_sentinel(w: Text, ctx: SuffixContext | None = None) -> TransformResult:
 
     The suffix sort puts a shorter suffix before a longer one it prefixes,
     so the rotation order of w$ is the `$` rotation, then w's suffix
-    array.  `ctx` is w's suffix context when the caller already has it;
-    otherwise it is built here.  The shifted text's alphabet and dense
-    ranks are w's plus one, with the sentinel at 0, so they are not
-    derived again.
+    array.  `ctx` is w's suffix context when the caller already has it
+    (one of another length is refused); otherwise it is built here.  The
+    shifted text's alphabet and dense ranks are w's plus one, with the
+    sentinel at 0, so they are not derived again.
     """
     if len(w) == 0:
         raise ValueError("BWT requires a non-empty text")
@@ -112,16 +112,11 @@ def bwt_sentinel(w: Text, ctx: SuffixContext | None = None) -> TransformResult:
     if SENTINEL_NAME in names.values():
         raise ValueError("input already contains the sentinel symbol")
     names[0] = SENTINEL_NAME
-    if ctx is None:
-        ctx = build_suffix_context(w)
-    n = len(w)
-    if len(ctx) != n:
-        raise ValueError(f"a suffix context of {len(ctx)} suffixes for a text of length {n}")
+    order = np.append(len(w), np.frombuffer(context_for(w, ctx).sa, np.int32))
     ranks = np.append(w.dense_ranks + 1, np.int32(0))
     ranks.flags.writeable = False
     shifted = _derived((*map(operator.add, w.symbols, repeat(1)), 0), names,
                        alphabet=(0, *map(operator.add, w.alphabet, repeat(1))), dense_ranks=ranks)
-    order = np.fromiter(chain((n,), ctx.sa), dtype=np.int64, count=n + 1)
     return replace(bwt(shifted, order), variant="sentinel")
 
 

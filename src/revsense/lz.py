@@ -42,7 +42,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 
-from .suffixes import SuffixContext, build_suffix_context
+from .suffixes import SuffixContext, build_suffix_context, context_for
 from .text import Text, reverse
 
 
@@ -96,33 +96,31 @@ class _SuffixMatcher:
     psv[r] / nsv[r] is the nearest rank before / after r whose suffix
     starts earlier, or -1; plcp[r] / nlcp[r] is the lcp of the suffixes
     at r and that rank, or 0.  One left-to-right stack pass fills all
-    four: the stack holds ranks with increasing starts, and m is the lcp
-    of r with the rank on top.  Popping t makes r its next smaller start
-    at lcp m; the rank below t is psv[t], so m drops to min(m, plcp[t])
-    (Crochemore & Ilie, "Computing Longest Previous Factor in linear
-    time", IPL 2008).
+    four: the stack holds ranks with increasing starts, kept beside them,
+    and m is the lcp of r with the rank on top.  Popping t makes r its
+    next smaller start at lcp m; the rank below t is psv[t], so m drops
+    to min(m, plcp[t]) (Crochemore & Ilie, "Computing Longest Previous
+    Factor in linear time", IPL 2008).
     """
 
     def __init__(self, ctx: SuffixContext):
-        n = len(ctx)
-        self.n = n
-        self.isa = ctx.isa
-        self.sa = sa = ctx.sa
-        lcp = ctx.lcp
+        n = self.n = len(ctx)
+        self.isa, self.sa = ctx.isa, ctx.sa
         self.psv = psv = [-1] * n
         self.nsv = nsv = [-1] * n
         self.plcp = plcp = [0] * n
         self.nlcp = nlcp = [0] * n
-        stack = [-1]
-        for r in range(n):
-            p, m = sa[r], lcp[r]
-            while (t := stack[-1]) >= 0 and sa[t] > p:
-                stack.pop()
+        stack, starts = [-1], [-1]
+        for r, (p, m) in enumerate(zip(ctx.sa, ctx.lcp)):
+            while starts[-1] > p:
+                starts.pop()
+                t = stack.pop()
                 nsv[t], nlcp[t] = r, m
                 if plcp[t] < m:
                     m = plcp[t]
             psv[r], plcp[r] = stack[-1], m
             stack.append(r)
+            starts.append(p)
 
     def longest_earlier_match(self, i0: int) -> tuple[int, int | None]:
         """Longest prefix of w[i0:] occurring at some position < i0
@@ -237,7 +235,7 @@ def _greedy_parse(w: Text, ctx: SuffixContext | None, rule, variant: str) -> Par
     is built unless `Parsing.phrases` is read."""
     if len(w) == 0:
         raise ValueError("cannot parse the empty text")
-    longest_match = rule(ctx or build_suffix_context(w))
+    longest_match = rule(context_for(w, ctx))
     n = len(w)
     starts: list[int] = []
     sources: list[int | None] = []
@@ -400,7 +398,7 @@ def lz_end_optimal(
         raise ValueError("node_budget must be positive")
     if (greedy and greedy.variant != "lz_end_greedy") or (base and base.variant != "lz"):
         raise ValueError("greedy and base must be the lz_end_greedy and lz_parse parsings")
-    ctx = ctx or build_suffix_context(w)
+    ctx = context_for(w, ctx)
     greedy = greedy or lz_end_greedy(w, ctx)
     base = base or lz_parse(w, ctx)
     if len(base) == len(greedy):

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .suffixes import SuffixContext, build_suffix_context
+from .suffixes import SuffixContext, context_for
 from .text import Text
 
 
@@ -41,10 +41,8 @@ def _substring_counts(w: Text, ctx: SuffixContext | None) -> np.ndarray:
     (#suffixes of length >= k) - (#LCP entries >= k)."""
     if len(w) == 0:
         raise ValueError("substring counts require a non-empty text")
-    if ctx is None:
-        ctx = build_suffix_context(w)
+    lcp = np.frombuffer(context_for(w, ctx).lcp, np.int32)
     n = len(w)
-    lcp = np.fromiter(ctx.lcp, dtype=np.int64, count=n)
     # geq[k] = number of LCP entries >= k
     geq = np.bincount(lcp, minlength=n + 1)[::-1].cumsum()[::-1]
     return np.arange(n, 0, -1) - geq[1:]     # n - k + 1 suffixes of length >= k
@@ -67,24 +65,21 @@ def right_extension_count(w: Text, ctx: SuffixContext | None = None) -> int:
     so the suffix array of w is that of w$ without the lone `$` suffix and
     the LCP intervals of w are the internal nodes of the suffix tree of w$:
     a stack pass counts them.  The suffix at rank r occurs again iff it is
-    a prefix of the suffix at rank r + 1.
+    a prefix of the suffix at rank r + 1; numpy checks every rank at once.
     """
     if len(w) == 0:
         raise ValueError("right extensions require a non-empty text")
-    if ctx is None:
-        ctx = build_suffix_context(w)
+    ctx = context_for(w, ctx)
     n = len(w)
-    sa, lcp = ctx.sa, ctx.lcp
+    lcp = np.frombuffer(ctx.lcp, np.int32)[1:]
+    repeated = lcp == n - np.frombuffer(ctx.sa, np.int32)[:-1]
+    longest_repeated_suffix = int(lcp[repeated].max(initial=0))
     nodes = 1  # the root
-    longest_repeated_suffix = 0
     stack = [0]
-    for r in range(1, n):
-        v = lcp[r]
+    for v in ctx.lcp:
         while stack[-1] > v:
             stack.pop()
         if stack[-1] < v:
             stack.append(v)
             nodes += 1
-        if v == n - sa[r - 1] and v > longest_repeated_suffix:
-            longest_repeated_suffix = v
     return nodes + n - 1 - longest_repeated_suffix

@@ -10,7 +10,7 @@ equal, so a binary lift over them gives every adjacent LCP at once, with
 no walk over the text.  Ranks are int32, so a text holds fewer than 2^31
 symbols.  Both orders start from the text's cached `Text.dense_ranks`;
 `cyclic_rotation_order` returns its int64 array, while a SuffixContext
-keeps tuples.
+keeps the sort's int32 arrays as `array('i')`, which numpy reads in place.
 
 Positions are 0-based throughout: sa[i] is the start of the (i+1)-th
 smallest suffix and isa[p] the rank of the suffix at p, both read straight
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import operator
+from array import array
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -31,7 +32,9 @@ from .text import Text
 
 @dataclass(frozen=True)
 class SuffixContext:
-    """Suffix array, inverse suffix array and LCP array of one text.
+    """Suffix array, inverse suffix array and LCP array of one text, the
+    suffix sort's int32 data as `array('i')`: 12 bytes per symbol.  Two
+    contexts are equal iff their arrays are; like them, none is hashable.
 
     Invariants: isa[sa[i]] == i; lcp[0] == 0; lcp[i] is the length
     of the longest common prefix of the suffixes starting at sa[i-1]
@@ -42,9 +45,9 @@ class SuffixContext:
     keys of more than 31 bits that go into a sort are int64.
     """
 
-    sa: tuple[int, ...]
-    isa: tuple[int, ...]
-    lcp: tuple[int, ...]
+    sa: array
+    isa: array
+    lcp: array
 
     def __len__(self) -> int:
         return len(self.sa)
@@ -149,7 +152,7 @@ def _suffix_sort(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         step = (ids[a] == ids[b]) << len(levels)
         a += step
         b += step
-    lcp = np.zeros(n, dtype=np.int64)
+    lcp = np.zeros(n, dtype=np.int32)
     lcp[1:] = a - sa[:-1]
     return sa, lcp
 
@@ -158,7 +161,16 @@ def build_suffix_context(w: Text) -> SuffixContext:
     if len(w) == 0:
         raise ValueError("suffix structures require a non-empty text")
     sa, lcp = _suffix_sort(w.dense_ranks)
-    return SuffixContext(tuple(sa.tolist()), tuple(_inverse(sa).tolist()), tuple(lcp.tolist()))
+    return SuffixContext(*(array("i", x.tobytes()) for x in (sa, _inverse(sa), lcp)))
+
+
+def context_for(w: Text, ctx: SuffixContext | None) -> SuffixContext:
+    """w's suffix context: `ctx`, refused if of another length, or built if None."""
+    if ctx is None:
+        return build_suffix_context(w)
+    if len(ctx) != len(w):
+        raise ValueError(f"a suffix context of {len(ctx)} suffixes for a text of length {len(w)}")
+    return ctx
 
 
 def cyclic_rotation_order(w: Text, starts: Sequence[int] = (0,)) -> np.ndarray:

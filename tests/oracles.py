@@ -22,6 +22,7 @@ satisfies, each with where it comes from.
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
@@ -300,7 +301,8 @@ def decode_parsing(parsing, w):
 
 def naive_suffix_context(w):
     """Suffix array, inverse and LCP of a Text by sorting materialized
-    suffixes and scanning neighbours directly."""
+    suffixes and scanning neighbours directly, held as a SuffixContext
+    holds them, so that the two compare by value."""
     if len(w) == 0:
         raise ValueError("suffix structures require a non-empty text")
     s = w.symbols
@@ -316,7 +318,7 @@ def naive_suffix_context(w):
         while m < len(a) and m < len(b) and a[m] == b[m]:
             m += 1
         lcp[r] = m
-    return SuffixContext(tuple(sa), tuple(isa), tuple(lcp))
+    return SuffixContext(array("i", sa), array("i", isa), array("i", lcp))
 
 
 def naive_cyclic_rotation_order(w, starts=(0,)):

@@ -19,8 +19,11 @@ def test_tiny_ladder_writes_every_key(tmp_path):
     for row in out["cases"].values():
         assert 0 < row["n"] <= 10**3
         assert set(row["seconds"]) == {"suffix_context", "link_pass", "z", "z_given_links",
-                                       "z_no", "z_e"}
+                                       "z_no", "z_e", "v", "e", "delta", "r_dollar"}
         assert all(s >= 0 for s in row["seconds"].values())
         counts = row["counts"]
-        assert set(counts) == {"z", "z_no", "z_e"}
+        assert set(counts) == {"z", "z_no", "z_e", "v", "e", "r_dollar"}
         assert 1 <= counts["z"] <= min(counts["z_no"], counts["z_e"])
+        assert 1 <= counts["v"] and 1 <= counts["r_dollar"] and row["n"] <= counts["e"]
+        # three int32 arrays of n entries, with room for their headers
+        assert 12 * row["n"] <= row["context_mb"] * 2**20 <= 12 * row["n"] + 2**12

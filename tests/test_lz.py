@@ -164,8 +164,10 @@ def test_one_matcher_per_text(monkeypatch):
     for parse in (lz_parse, lz_no_overlap, lz_end_greedy, lz_end_optimal):
         assert parse(w, ctx=ctx) == parse(w)
     assert lz_end_greedy(w, ctx, rev_ctx) == lz_end_greedy(w)
-    # the cached matcher is not part of the context's value
-    assert ctx == build_suffix_context(w) and hash(ctx) == hash(build_suffix_context(w))
+    # the cached matcher is not part of the context's value; its arrays are not hashable
+    assert ctx == build_suffix_context(w)
+    with pytest.raises(TypeError):
+        hash(ctx)
 
 
 def test_end_greedy_refuses_a_reverse_context_of_another_length():

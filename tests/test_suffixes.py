@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from revsense import suffixes
-from revsense.bwt import bbwt
+from revsense.bwt import bbwt, bwt_sentinel
 from revsense.families import fibonacci_word
+from revsense.lexparse import lex_parse
+from revsense.lz import lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
+from revsense.measures import right_extension_count, substring_complexity
 from revsense.suffixes import _doubling_ranks, build_suffix_context, cyclic_rotation_order
 from revsense.text import Text, lyndon_starts
 
@@ -24,11 +27,11 @@ nonempty_texts = st.lists(st.integers(0, 4), min_size=1, max_size=64).map(lambda
 
 def test_examples():
     ctx = build_suffix_context(Text.from_str("abc"))
-    assert ctx.sa == (0, 1, 2)
-    assert ctx.lcp == (0, 0, 0)
+    assert ctx.sa.tolist() == [0, 1, 2]
+    assert ctx.lcp.tolist() == [0, 0, 0]
     ctx = build_suffix_context(Text.from_str("aaa"))
-    assert ctx.sa == (2, 1, 0)
-    assert ctx.lcp == (0, 1, 2)
+    assert ctx.sa.tolist() == [2, 1, 0]
+    assert ctx.lcp.tolist() == [0, 1, 2]
     w = Text.from_str("abracadabracabra")
     assert build_suffix_context(w) == naive_suffix_context(w)
 
@@ -38,6 +41,17 @@ def test_empty_rejected():
         build_suffix_context(Text(()))
     with pytest.raises(ValueError):
         cyclic_rotation_order(Text(()))
+
+
+@pytest.mark.parametrize("other", ["abracadabra" * 2, "abracadabr"])
+@pytest.mark.parametrize("reader", [lz_parse, lz_no_overlap, lz_end_greedy, lz_end_optimal, lex_parse,
+                                    substring_complexity, right_extension_count, bwt_sentinel],
+                         ids=lambda f: f.__name__)
+def test_context_of_another_length_is_refused(reader, other):
+    # every public reader of a given context checks its length by one rule
+    w = Text.from_str("abracadabra")
+    with pytest.raises(ValueError, match=f"^a suffix context of {len(other)} suffixes for a text of length 11$"):
+        reader(w, ctx=build_suffix_context(Text.from_str(other)))
 
 
 @pytest.mark.parametrize("starts", [(), (1,), (-1, 2), (0, 2, 2), (0, 3, 1), (0, 6), (0, 2, 8)])
@@ -115,8 +129,8 @@ def test_alphabet_of_65537_symbols():
     w = Text(tuple(p) * 2)
     by_symbol = sorted(range(m), key=p.__getitem__)
     ctx = build_suffix_context(w)
-    assert ctx.sa == tuple(x for i in by_symbol for x in (i + m, i))
-    assert ctx.lcp == tuple(x for i in by_symbol for x in (0, m - i))
+    assert ctx.sa.tolist() == [x for i in by_symbol for x in (i + m, i)]
+    assert ctx.lcp.tolist() == [x for i in by_symbol for x in (0, m - i)]
     assert tuple(cyclic_rotation_order(w)) == tuple(x for i in by_symbol for x in (i, i + m))
 
 
@@ -165,7 +179,7 @@ def _checked_lcp(w):
     suffix array, and that array's order at each first mismatch."""
     s, n = w.symbols, len(w)
     ctx = build_suffix_context(w)
-    assert ctx.lcp == kasai_lcp(s, ctx.sa)
+    assert tuple(ctx.lcp) == kasai_lcp(s, ctx.sa)
     for i in range(1, n):
         a, b, m = ctx.sa[i - 1], ctx.sa[i], ctx.lcp[i]
         assert a + m == n or (b + m < n and s[a + m] < s[b + m])
@@ -187,7 +201,7 @@ def test_lcp_against_kasai_on_long_texts():
 def test_unary_lcp_is_a_staircase():
     # the suffixes of a^n sort shortest first, each a prefix of the next
     for n in range(1, 131):
-        assert build_suffix_context(Text((0,) * n)).lcp == tuple(range(n))
+        assert build_suffix_context(Text((0,) * n)).lcp.tolist() == list(range(n))
 
 
 def test_lcp_at_powers_of_two():
@@ -207,7 +221,8 @@ def test_lcp_at_powers_of_two():
 
 @pytest.mark.parametrize("text", ["unary", "random", "fibonacci"])
 def test_suffix_context_memory_is_bounded(text):
-    # the build keeps one int32 id array per doubling round: O(n log L) words
+    # the build keeps one int32 id array per doubling round: O(n log L) words;
+    # the built context holds three int32 arrays, 2.4 MB here
     n = 2 * 10**5
     rng = random.Random(104)
     w = {
@@ -217,11 +232,15 @@ def test_suffix_context_memory_is_bounded(text):
     }[text]()
     tracemalloc.start()
     try:
-        build_suffix_context(w)
-        peak = tracemalloc.get_traced_memory()[1]
+        build_suffix_context(w)     # also derives w's cached dense ranks
+        before, peak = tracemalloc.get_traced_memory()
+        ctx = build_suffix_context(w)
+        held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert peak < {"unary": 48, "random": 32, "fibonacci": 30}[text] * 2**20, peak
+    assert held < 3 * 2**20, held
+    assert len(ctx) == len(w)
 
 
 @pytest.mark.parametrize("sigma", [2**7 - 1, 2**7, 2**7 + 1, 2**15 - 1, 2**15, 2**15 + 1])
@@ -311,4 +330,4 @@ def test_rotation_order_agrees_with_suffix_order_after_terminal():
         base = random_symbols(rng, 40)
         # append a strictly smaller unique terminal: shift ranks up, add 0
         w = Text(tuple(r + 1 for r in base) + (0,))
-        assert tuple(cyclic_rotation_order(w)) == build_suffix_context(w).sa
+        assert cyclic_rotation_order(w).tolist() == build_suffix_context(w).sa.tolist()
