@@ -111,7 +111,7 @@ class _SuffixMatcher:
         self.plcp = plcp = [0] * n
         self.nlcp = nlcp = [0] * n
         stack, starts = [-1], [-1]
-        for r, (p, m) in enumerate(zip(ctx.sa, ctx.lcp)):
+        for r, p, m in zip(range(n), ctx.sa, ctx.lcp):
             while starts[-1] > p:
                 starts.pop()
                 t = stack.pop()
@@ -155,11 +155,11 @@ class _SuffixMatcher:
                 x = chain[x]
                 if c < best or not c:
                     break
-                v = i0 - sa[x]
+                v = i0 - (j := sa[x])
                 if c < v:
                     v = c
-                if v > best or (v == best and sa[x] < src):
-                    best, src = v, sa[x]
+                if v > best or (v == best and j < src):
+                    best, src = v, j
         return best, src
 
 
