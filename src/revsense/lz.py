@@ -96,8 +96,8 @@ class _SuffixMatcher:
     psv[r] / nsv[r] is the nearest rank before / after r whose suffix
     starts earlier, or -1; plcp[r] / nlcp[r] is the lcp of the suffixes
     at r and that rank, or 0.  One left-to-right stack pass fills all
-    four: the stack holds ranks with increasing starts, kept beside them,
-    and m is the lcp of r with the rank on top.  Popping t makes r its
+    four: the stack holds ranks with increasing starts, a second stack
+    their starts, and m is the lcp of r with the rank on top.  Popping t makes r its
     next smaller start at lcp m; the rank below t is psv[t], so m drops
     to min(m, plcp[t]) (Crochemore & Ilie, "Computing Longest Previous
     Factor in linear time", IPL 2008).
