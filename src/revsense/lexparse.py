@@ -21,7 +21,7 @@ def _lex_rule(ctx: SuffixContext):
 
     def longest_match(i0: int) -> tuple[int, int | None]:
         r = isa[i0]
-        return (lcp[r], sa[r - 1]) if lcp[r] else (0, None)
+        return (ell, sa[r - 1]) if (ell := lcp[r]) else (0, None)
 
     return longest_match
 
