@@ -50,9 +50,9 @@ import numpy as np  # noqa: E402
 
 from revsense import lz  # noqa: E402
 from revsense.bwt import bwt_sentinel  # noqa: E402
+from revsense.families import FamilySpec, generate  # noqa: E402
 from revsense.lexparse import lex_parse  # noqa: E402
 from revsense.measures import right_extension_count, substring_complexity  # noqa: E402
-from revsense.families import FamilySpec, generate  # noqa: E402
 from revsense.suffixes import SuffixContext, build_suffix_context  # noqa: E402
 from revsense.text import Text, reverse  # noqa: E402
 
@@ -123,12 +123,10 @@ def _context_mb(w):
     """MB that one built suffix context of w holds once the build returns."""
     tracemalloc.start()
     try:
-        ctx = build_suffix_context(w)
-        held = tracemalloc.get_traced_memory()[0]
+        ctx = build_suffix_context(w)     # alive while its memory is read
+        return tracemalloc.get_traced_memory()[0] / 2**20
     finally:
         tracemalloc.stop()
-    del ctx
-    return held / 2**20
 
 
 def _commit():

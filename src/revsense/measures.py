@@ -59,7 +59,7 @@ def substring_complexity(w: Text, ctx: SuffixContext | None = None) -> Fraction:
 
 
 def right_extension_count(w: Text, ctx: SuffixContext | None = None) -> int:
-    """e(w) = m + n - 1 - L in one pass over the suffix and LCP arrays.
+    """e(w) = m + n - 1 - L, read off the suffix and LCP arrays.
 
     The suffix sort puts a shorter suffix before a longer one it prefixes,
     so the suffix array of w is that of w$ without the lone `$` suffix and
