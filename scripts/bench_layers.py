@@ -23,12 +23,21 @@ Thue-Morse prefix of 2^16 symbols.  Per case it records the best of
 
 the values z, z_no, z_e, v, e and r_dollar, and context_mb, the MB that
 one built context holds (tracemalloc, w's dense ranks already derived).
+
+The zend block times z_end's exact search, lz_end_optimal(w, ctx=ctx,
+greedy=..., base=...) with the context and both greedy parses given, as
+a report runs it, at the default node budget.  Its texts are the gadget
+1001011010111 followed by 5*10^4 fresh symbols, where the search goes
+one node deep per symbol, and five random binary texts of perfbench's
+zend-search workload (n <= 128), one of them inexact.  Per text it records
+n, z, z_e, z_end, exact and the best of --repeat wall times.
 The JSON also records the commit, the core count, the Python and numpy
 versions and the peak RSS.
 
     python3 scripts/bench_layers.py --tag T [--repeat K] [--out DIR] [--tiny]
 
---tiny runs the same kinds of text at n <= 10^3, to check the script.
+--tiny runs the same kinds of text at n <= 10^3, and the gadget followed
+by 10^3 fresh symbols, to check the script.
 """
 
 import argparse
@@ -56,11 +65,12 @@ from revsense.measures import right_extension_count, substring_complexity  # noq
 from revsense.suffixes import SuffixContext, build_suffix_context  # noqa: E402
 from revsense.text import Text, reverse  # noqa: E402
 
+GADGET = (1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 1)    # 1001011010111
+
 
 def _random(sigma, n):
     rng = random.Random(n * 1009 + sigma)
-    # every symbol shows as <r>, so none shows as the sentinel `$` (36) of r_dollar
-    return Text(tuple(rng.randrange(sigma) for _ in range(n)), {r: f"<{r}>" for r in range(sigma)})
+    return Text(tuple(rng.randrange(sigma) for _ in range(n)))
 
 
 def _thue_morse(n):
@@ -78,6 +88,21 @@ def cases(tiny):
             ("random1000_100000", _random(1000, 10**5)), ("unary_100000", Text((0,) * 10**5)),
             ("F_26", generate(FamilySpec("fib", 26))), ("T_p_40", generate(FamilySpec("T_p", 40))),
             ("thue_morse_65536", _thue_morse(2**16))]
+
+
+def zend_cases(tiny):
+    """(name, text) pairs of the z_end rows.  The gadget 1001011010111, on
+    which z < z_e, followed by fresh symbols makes the search one node deep
+    per symbol.  The zend_search_r<r> texts are the uniform random binary
+    texts that perfbench's zend-search workload draws at seed 1, round r;
+    r3 stays inexact at the default node budget."""
+    fresh = 10**3 if tiny else 5 * 10**4
+    out = [(f"gadget_{fresh}", Text(GADGET + tuple(range(2, 2 + fresh))))]
+    for r in () if tiny else (0, 3, 7, 8, 15):
+        rng = np.random.default_rng([1, r])
+        n = int(rng.integers(64, 129))
+        out.append((f"zend_search_r{r}", Text(tuple(rng.integers(0, 2, n).tolist()))))
+    return out
 
 
 def _best(repeat, fn):
@@ -119,6 +144,15 @@ def measure(w, repeat):
     return {"n": len(w), "counts": counts, "seconds": seconds, "context_mb": _context_mb(w)}
 
 
+def measure_zend(w, repeat):
+    ctx = build_suffix_context(w)
+    greedy, base = lz.lz_end_greedy(w, ctx), lz.lz_parse(w, ctx)
+    seconds, (p, exact) = _best(
+        repeat, lambda: lz.lz_end_optimal(w, ctx=ctx, greedy=greedy, base=base))
+    return {"n": len(w), "z": len(base), "z_e": len(greedy), "z_end": len(p), "exact": exact,
+            "seconds": seconds}
+
+
 def _context_mb(w):
     """MB that one built suffix context of w holds once the build returns."""
     tracemalloc.start()
@@ -151,11 +185,15 @@ def main(argv=None):
     if args.repeat < 1:
         ap.error("--repeat must be positive")
     result = {"commit": _commit(), "cores": os.cpu_count(), "python": platform.python_version(),
-              "numpy": np.__version__, "repeat": args.repeat, "cases": {}}
+              "numpy": np.__version__, "repeat": args.repeat, "cases": {}, "zend": {}}
     for name, w in cases(args.tiny):
         result["cases"][name] = row = measure(w, args.repeat)
         print(name, row["n"], " ".join(f"{k}={v:.4f}" for k, v in row["seconds"].items()),
               file=sys.stderr)
+    for name, w in zend_cases(args.tiny):
+        result["zend"][name] = row = measure_zend(w, args.repeat)
+        print(name, row["n"], f"z_end={row['z_end']} exact={row['exact']} "
+              f"seconds={row['seconds']:.4f}", file=sys.stderr)
     result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     path = pathlib.Path(args.out) / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")

@@ -96,8 +96,9 @@ def bwt_sentinel(w: Text, ctx: SuffixContext | None = None) -> TransformResult:
     """BWT of w with an appended minimal sentinel.
 
     The output alphabet is shifted: every input rank r becomes r+1, still
-    displayed as r was, and the sentinel is rank 0, displayed as "$".  An
-    input symbol displayed as "$" is refused.
+    displayed as r was, and the sentinel is rank 0, displayed as "$".  A
+    name table that names a present symbol "$" is refused; an unnamed rank
+    whose default name is "$" (36) is displayed as "<36>".
 
     The suffix sort puts a shorter suffix before a longer one it prefixes,
     so the rotation order of w$ is the `$` rotation, then w's suffix
@@ -108,9 +109,11 @@ def bwt_sentinel(w: Text, ctx: SuffixContext | None = None) -> TransformResult:
     """
     if len(w) == 0:
         raise ValueError("BWT requires a non-empty text")
-    names = {r + 1: w.name_of(r) for r in w.alphabet}
-    if SENTINEL_NAME in names.values():
+    named = w.names or {}
+    if SENTINEL_NAME in map(named.get, w.alphabet):
         raise ValueError("input already contains the sentinel symbol")
+    names = {r + 1: f"<{r}>" if (name := w.name_of(r)) == SENTINEL_NAME else name
+             for r in w.alphabet}
     names[0] = SENTINEL_NAME
     order = np.append(len(w), np.frombuffer(context_for(w, ctx).sa, np.int32))
     ranks = np.append(w.dense_ranks + 1, np.int32(0))

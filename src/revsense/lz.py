@@ -21,8 +21,10 @@ character.  The variants differ only in which sources qualify:
 * lz_end_optimal -- minimum number of phrases over all parsings whose
                     sources end at earlier boundaries of that same
                     parsing; greedy end-aligned parsing is not optimal
-                    in general.  The search keeps no per-position arrays:
-                    O(n) memory besides the candidates on its path.
+                    in general.  The search is one loop over an explicit
+                    path, so its depth is not bounded by the interpreter's
+                    recursion limit, and it holds O(n) memory besides the
+                    moves of the nodes on its path.
 
 z, the bound L of z_e and z_end's lower bound read the longest previous
 factor at increasing positions.  Where the link pass (`_SuffixMatcher`,
@@ -36,7 +38,6 @@ them too.
 from __future__ import annotations
 
 import functools
-import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -266,27 +267,6 @@ def lz_no_overlap(w: Text, ctx: SuffixContext | None = None) -> Parsing:
     return _greedy_parse(w, ctx, attrgetter("matcher.longest_nonoverlapping_match"), "lz_no")
 
 
-def _end_aligned_candidates(
-    matches: list[tuple[int, int]], ends: list[int]
-) -> dict[int, int]:
-    """All feasible end-aligned phrase lengths at the position i0 whose
-    `_match_lengths` are `matches`.
-
-    Returns {length: source0}.  A length ell qualifies iff the prefix
-    w[i0:i0+ell] occurs starting at some j0 < i0 with its last position
-    j0+ell-1 equal to a boundary in `ends` (sorted 1-based ends, all
-    <= i0, so every source lies before i0).  The matches come sorted by
-    j0, so the first source found for a length is the leftmost.
-    """
-    found: dict[int, int] = {}
-    for j0, m in matches:
-        for e in ends[bisect_left(ends, j0 + 1):bisect_right(ends, j0 + m)]:
-            ell = e - j0
-            if ell not in found:
-                found[ell] = j0
-    return found
-
-
 def lz_end_greedy(w: Text, ctx: SuffixContext | None = None,
                   rev_ctx: SuffixContext | None = None) -> Parsing:
     """Greedy end-aligned LZ; phrase count = z_e(w).
@@ -382,12 +362,17 @@ def lz_end_optimal(
     greedy end-aligned parsing is already optimal.  Otherwise a
     depth-first search over (position, boundary set) states runs with
     branch-and-bound pruning; the bound reads the longest earlier match
-    at every position (`_earlier_matches`).  A node that passes the bound
-    reads the earlier matches of its position off `ctx` (`_match_lengths`) and
-    keeps none, so the search holds O(n) memory (the bound, the path and
-    one node's matches) besides the candidate lengths of the nodes on
-    the path, at most LPF(i0) at position i0.  Exactness is False when
-    node_budget is exhausted (the best parsing found so far is returned).
+    at every position (`_earlier_matches`).  The search is one loop over
+    an explicit path (its phrase bounds and sources, and per node on it an
+    iterator of the moves not yet tried), so its depth is not bounded by
+    the interpreter's recursion limit.  A node that passes the bound
+    reads the earlier matches of its position off `ctx` (`_match_lengths`),
+    keeps none, and tries the lengths whose source ends at a bound of the
+    path, longest first, then the literal.  So the search holds O(n)
+    memory (the bound, the path and one node's matches) besides the moves
+    of the nodes on the path, at most LPF(i0) at position i0.  Exactness
+    is False when node_budget is exhausted (the best parsing found so far
+    is returned).
 
     `greedy` and `base` are lz_end_greedy(w) and lz_parse(w) when the
     caller has them already; each one not given is computed here.
@@ -401,59 +386,53 @@ def lz_end_optimal(
     ctx = context_for(w, ctx)
     greedy = greedy or lz_end_greedy(w, ctx)
     base = base or lz_parse(w, ctx)
-    if len(base) == len(greedy):
-        return Parsing(greedy.bounds, greedy.sources, "lz_end"), True
+    best = Parsing(greedy.bounds, greedy.sources, "lz_end")
+    if len(base) == len(best):
+        return best, True
 
     n = len(w)
     earlier = _earlier_matches(w, ctx)
     # Lower bound ignoring end-alignment: greedy jumps over the longest
-    # earlier match are optimal for that relaxation.
-    maxlen = [max(1, earlier(i)[0]) for i in range(n)]
-    lb = [0] * (n + 1)
+    # earlier match are optimal for that relaxation.  lb[i] first holds
+    # that jump and then the phrase count of w[i:].
+    lb = [max(1, earlier(i)[0]) for i in range(n)] + [0]
     for i in range(n - 1, -1, -1):
-        lb[i] = 1 + lb[i + maxlen[i]]
+        lb[i] = 1 + lb[i + lb[i]]
 
-    best_count = len(greedy)
-    # phrases as (start0, source0) pairs; a phrase's length is the gap to the next start
-    best_phrases = list(zip(greedy.bounds, greedy.sources))
+    # the path: its phrase starts then its end, and its sources; per node
+    # on it, the (end, source) moves not yet tried
+    bounds: list[int] = [0]
+    sources: list[int | None] = []
+    moves = []
     nodes = 0
-    exhausted = False
-    path: list[tuple[int, int | None]] = []
-    ends: list[int] = []
-
-    def dfs(i0: int, count: int) -> None:
-        nonlocal nodes, exhausted, best_count, best_phrases
-        if exhausted:
-            return
+    while True:
+        if nodes == node_budget:
+            return best, False
         nodes += 1
-        if nodes > node_budget:
-            exhausted = True
-            return
-        if i0 == n:
-            if count < best_count:
-                best_count = count
-                best_phrases = list(path)
-            return
-        if count + lb[i0] >= best_count:
-            return
-        cands = _end_aligned_candidates(_match_lengths(ctx, i0), ends)
-        moves = sorted(cands, reverse=True)
-        if 1 not in cands:
-            moves.append(1)
-        for ell in moves:
-            path.append((i0, cands.get(ell)))
-            ends.append(i0 + ell)
-            dfs(i0 + ell, count + 1)
-            ends.pop()
-            path.pop()
-            if exhausted:
-                return
-
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, n + 200))
-    try:
-        dfs(0, 0)
-    finally:
-        sys.setrecursionlimit(old_limit)
-    starts, sources = zip(*best_phrases)
-    return Parsing(starts + (n,), sources, "lz_end"), not exhausted
+        i0 = bounds[-1]
+        # lb[n] is 0, so a leaf that passes is a smaller parsing; lb[0] is
+        # z < z_e, so the root passes
+        if len(sources) + lb[i0] < len(best):
+            if i0 == n:
+                best = Parsing(tuple(bounds), tuple(sources), "lz_end")
+            else:
+                found = {}
+                # w[i0:i0 + e - j0] copies w[j0:e] when e is a bound with j0 < e <= j0 + m
+                # (never 0); the matches come sorted by j0, so each keeps its leftmost source
+                for j0, m in _match_lengths(ctx, i0):
+                    for e in bounds[bisect_left(bounds, j0 + 1):bisect_right(bounds, j0 + m)]:
+                        found.setdefault(i0 + e - j0, j0)
+                found.setdefault(i0 + 1, None)
+                moves.append(iter(sorted(found.items(), reverse=True)))
+        if len(moves) < len(bounds):      # a leaf or a cut node: leave it
+            bounds.pop()
+            sources.pop()
+        # back up to the deepest node with a move left, and take it
+        while (move := next(moves[-1], None)) is None:
+            moves.pop()
+            if not moves:
+                return best, True
+            bounds.pop()
+            sources.pop()
+        bounds.append(move[0])
+        sources.append(move[1])

@@ -12,7 +12,8 @@ def test_tiny_ladder_writes_every_key(tmp_path):
     subprocess.run([sys.executable, str(SCRIPT), "--tag", "tiny", "--tiny", "--repeat", "1",
                     "--out", str(tmp_path)], check=True, capture_output=True)
     out = json.loads((tmp_path / "BENCH_tiny.json").read_text(encoding="utf-8"))
-    assert set(out) == {"commit", "cores", "python", "numpy", "repeat", "cases", "peak_rss_mb"}
+    assert set(out) == {"commit", "cores", "python", "numpy", "repeat", "cases", "zend",
+                        "peak_rss_mb"}
     assert out["repeat"] == 1 and out["cores"] >= 1
     assert set(out["cases"]) == {"random4_100", "random4_1000", "random1000_1000", "unary_1000",
                                  "F_14", "T_p_4", "thue_morse_512"}
@@ -27,3 +28,8 @@ def test_tiny_ladder_writes_every_key(tmp_path):
         assert 1 <= counts["v"] and 1 <= counts["r_dollar"] and row["n"] <= counts["e"]
         # three int32 arrays of n entries, with their 1/16 over-allocation and headers
         assert 12 * row["n"] <= row["context_mb"] * 2**20 <= 13 * row["n"] + 2**12
+    # the gadget 1001011010111 has z < z_e, so z_end's search runs one node deep per fresh symbol
+    assert set(out["zend"]) == {"gadget_1000"}
+    row = dict(out["zend"]["gadget_1000"])
+    assert row.pop("seconds") >= 0
+    assert row == {"n": 1013, "z": 1008, "z_e": 1009, "z_end": 1008, "exact": True}

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from revsense.bwt import bbwt, bwt, bwt_sentinel
 from revsense.families import FamilySpec, generate, predict_transform
+from revsense.harness import evaluate
 from revsense.suffixes import build_suffix_context, cyclic_rotation_order
 from revsense.text import Text, lyndon_starts, reverse
 
@@ -67,10 +68,17 @@ def test_sentinel_keeps_the_names_of_unnamed_ranks():
 
 
 def test_sentinel_rejects_sentinel_in_input():
-    # rank 36 is unnamed and prints as "$" by its character code
-    for w in (Text((0,), {0: "$"}), Text((36, 1))):
-        with pytest.raises(ValueError):
-            bwt_sentinel(w)
+    with pytest.raises(ValueError):
+        bwt_sentinel(Text((0,), {0: "$"}))
+
+
+def test_r_dollar_answers_when_an_unnamed_rank_prints_as_the_sentinel():
+    # rank 36 prints as "$" by its character code, but no name table shows it so
+    rng = random.Random(36)
+    for s in (tuple(range(40)), tuple(rng.randrange(1000) for _ in range(2000))):
+        named = Text(s, {r: f"<{r}>" for r in set(s)})
+        assert evaluate(Text(s), ["r_dollar"]) == evaluate(named, ["r_dollar"])
+    assert bwt_sentinel(Text((36, 1))).output.display() == "<1> <36> $"
 
 
 @given(nonempty_texts)

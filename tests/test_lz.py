@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 import tracemalloc
@@ -111,6 +112,48 @@ def test_budget_exhaustion_flag():
     parsing, exact = lz_end_optimal(w, node_budget=1)
     assert not exact
     assert len(parsing) == len(lz_end_greedy(w))  # best found so far = greedy
+
+
+# one sha256 over the bounds, sources and exact flag of every search below:
+# a change to the order in which the search enters nodes changes the
+# budget-limited results, and so this digest
+SEARCH_DIGEST = "77ae52755655d7bc881af349ecdad471a334e337332b37181e1a548dfdd20c30"
+
+
+def test_budget_limited_search_is_pinned():
+    rng = random.Random(27)
+    texts = []
+    while len(texts) < 50:
+        sigma = rng.choice((2, 3))
+        w = Text(tuple(rng.randrange(sigma) for _ in range(rng.randint(8, 40))))
+        if len(lz_parse(w)) < len(lz_end_greedy(w)):      # the search runs
+            texts.append(w)
+    digest = hashlib.sha256()
+    inexact = 0
+    for w in texts:
+        for budget in (1, 2, 3, 7, 50, 1000):
+            p, exact = lz_end_optimal(w, budget)
+            inexact += not exact
+            digest.update(repr((p.bounds, p.sources, exact)).encode())
+    assert 0 < inexact < 300
+    assert digest.hexdigest() == SEARCH_DIGEST
+
+
+def test_deep_search_needs_no_recursion_limit(monkeypatch):
+    # 1001011010111 has z < z_e; each fresh symbol after it adds one phrase,
+    # so the search's path is about n phrases long
+    import sys
+    calls = []
+    set_limit = sys.setrecursionlimit
+    monkeypatch.setattr(sys, "setrecursionlimit", lambda k: (calls.append(k), set_limit(k)))
+    w = Text((1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 1) + tuple(range(2, 2 + 5 * 10**4)))
+    t0 = time.perf_counter()
+    p, exact = lz_end_optimal(w)
+    elapsed = time.perf_counter() - t0
+    assert exact and len(p) == len(lz_parse(w)) == len(lz_end_greedy(w)) - 1 == 50_008
+    assert decode_parsing(p, w) == w.symbols and _source_constraints_ok(p, w)
+    assert calls == []
+    assert elapsed < 5
 
 
 def test_match_lengths_vs_brute():
