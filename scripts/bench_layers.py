@@ -31,6 +31,7 @@ a report runs it, at the default node budget.  Its texts are the gadget
 one node deep per symbol, and five random binary texts of perfbench's
 zend-search workload (n <= 128), one of them inexact.  Per text it records
 n, z, z_e, z_end, exact and the best of --repeat wall times.
+
 The JSON also records the commit, the core count, the Python and numpy
 versions and the peak RSS.
 

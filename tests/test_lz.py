@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 import time
 import tracemalloc
 
@@ -142,7 +143,6 @@ def test_budget_limited_search_is_pinned():
 def test_deep_search_needs_no_recursion_limit(monkeypatch):
     # 1001011010111 has z < z_e; each fresh symbol after it adds one phrase,
     # so the search's path is about n phrases long
-    import sys
     calls = []
     set_limit = sys.setrecursionlimit
     monkeypatch.setattr(sys, "setrecursionlimit", lambda k: (calls.append(k), set_limit(k)))
