@@ -9,13 +9,13 @@ Thue-Morse prefix of 2^16 symbols.  Per case it records the best of
 --repeat wall times, in seconds, of:
 
     suffix_context   build_suffix_context(w)
-    link_pass        lz._SuffixMatcher(ctx), the links z_no and z_end read
-    z                lz_parse(w, ctx) on a context with no link pass built,
-                     as a report without z_no or z_end runs it
-    z_given_links    lz_parse(w, ctx) once the link pass is built
-    z_no             lz_no_overlap(w, ctx) once the link pass is built
-    z_e              lz_end_greedy(w, ctx, rev_ctx) on a context with no
-                     link pass built, reverse(w)'s context given
+    link_pass        links = lz._SuffixMatcher(ctx), the links z_no reads
+    z                lz_parse(w, ctx) on the plain context, as a report
+                     without z_no runs it
+    z_given_links    lz_parse(w, links), as a report with z_no runs it
+    z_no             lz_no_overlap(w, links)
+    z_e              lz_end_greedy(w, ctx, rev_ctx) on the plain context,
+                     reverse(w)'s context given
     v                lex_parse(w, ctx)
     e                right_extension_count(w, ctx)
     delta            substring_complexity(w, ctx)
@@ -63,7 +63,7 @@ from revsense.bwt import bwt_sentinel  # noqa: E402
 from revsense.families import FamilySpec, generate  # noqa: E402
 from revsense.lexparse import lex_parse  # noqa: E402
 from revsense.measures import right_extension_count, substring_complexity  # noqa: E402
-from revsense.suffixes import SuffixContext, build_suffix_context  # noqa: E402
+from revsense.suffixes import build_suffix_context  # noqa: E402
 from revsense.text import Text, reverse  # noqa: E402
 
 GADGET = (1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 1)    # 1001011010111
@@ -119,22 +119,15 @@ def _best(repeat, fn):
 def measure(w, repeat):
     ctx = build_suffix_context(w)
     rev_ctx = build_suffix_context(reverse(w))
-
-    def unlinked():
-        # the same arrays with no link pass cached
-        return SuffixContext(ctx.sa, ctx.isa, ctx.lcp)
-
     seconds, counts = {}, {}
     seconds["suffix_context"], _ = _best(repeat, lambda: build_suffix_context(w))
-    seconds["link_pass"], _ = _best(repeat, lambda: lz._SuffixMatcher(ctx))
-    seconds["z"], p = _best(repeat, lambda: lz.lz_parse(w, unlinked()))
+    seconds["link_pass"], links = _best(repeat, lambda: lz._SuffixMatcher(ctx))
+    seconds["z"], p = _best(repeat, lambda: lz.lz_parse(w, ctx))
     counts["z"] = len(p)
-    linked = unlinked()
-    linked.matcher
-    seconds["z_given_links"], _ = _best(repeat, lambda: lz.lz_parse(w, linked))
-    seconds["z_no"], p = _best(repeat, lambda: lz.lz_no_overlap(w, linked))
+    seconds["z_given_links"], _ = _best(repeat, lambda: lz.lz_parse(w, links))
+    seconds["z_no"], p = _best(repeat, lambda: lz.lz_no_overlap(w, links))
     counts["z_no"] = len(p)
-    seconds["z_e"], p = _best(repeat, lambda: lz.lz_end_greedy(w, unlinked(), rev_ctx))
+    seconds["z_e"], p = _best(repeat, lambda: lz.lz_end_greedy(w, ctx, rev_ctx))
     counts["z_e"] = len(p)
     seconds["v"], p = _best(repeat, lambda: lex_parse(w, ctx))
     counts["v"] = len(p)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import operator
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import count, repeat
 from typing import Sequence
 
 import numpy as np
@@ -98,7 +98,8 @@ def bwt_sentinel(w: Text, ctx: SuffixContext | None = None) -> TransformResult:
     The output alphabet is shifted: every input rank r becomes r+1, still
     displayed as r was, and the sentinel is rank 0, displayed as "$".  A
     name table that names a present symbol "$" is refused; an unnamed rank
-    whose default name is "$" (36) is displayed as "<36>".
+    whose default name is "$" (36) is displayed as the first of "<36>",
+    "<<36>>", ... that no other symbol of w shows.
 
     The suffix sort puts a shorter suffix before a longer one it prefixes,
     so the rotation order of w$ is the `$` rotation, then w's suffix
@@ -112,8 +113,9 @@ def bwt_sentinel(w: Text, ctx: SuffixContext | None = None) -> TransformResult:
     named = w.names or {}
     if SENTINEL_NAME in map(named.get, w.alphabet):
         raise ValueError("input already contains the sentinel symbol")
-    names = {r + 1: f"<{r}>" if (name := w.name_of(r)) == SENTINEL_NAME else name
-             for r in w.alphabet}
+    names = {r + 1: w.name_of(r) for r in w.alphabet}
+    if names.get(37) == SENTINEL_NAME:      # an unnamed rank 36 prints as "$"
+        names[37] = next(s for k in count(1) if (s := f"{'<' * k}36{'>' * k}") not in names.values())
     names[0] = SENTINEL_NAME
     order = np.append(len(w), np.frombuffer(context_for(w, ctx).sa, np.int32))
     ranks = np.append(w.dense_ranks + 1, np.int32(0))

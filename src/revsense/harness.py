@@ -27,7 +27,7 @@ from .families import (
     transform_predictions,
 )
 from .lexparse import lex_parse
-from .lz import Parsing, lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
+from .lz import Parsing, _SuffixMatcher, lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
 from .measures import right_extension_count, substring_complexity
 from .suffixes import SuffixContext, build_suffix_context
 from .text import Text, reverse
@@ -41,10 +41,10 @@ class _MeasureRunner:
     z_e also reads `rev_ctx`, the reversal's `ctx`; a report hands both to
     the reversal.
 
-    When z_no is among the measures, the LZ link pass
-    (`SuffixContext.matcher`), which it reads at every rank, is built
-    before z and z_e parse, and those and z_end's lower bound read it too;
-    otherwise they mark earlier ranks and no link pass is built."""
+    z, z_e, z_no and z_end read `lz_ctx`: the LZ link pass over `ctx`
+    (`lz._SuffixMatcher`) when z_no, which reads it at every rank, is among
+    the measures, so it dies with the runner; else `ctx`, and then they mark
+    earlier ranks and no link pass is built."""
 
     def __init__(self, w: Text, measures: Iterable[str],
                  node_budget: int = DEFAULT_NODE_BUDGET):
@@ -60,19 +60,18 @@ class _MeasureRunner:
     def rev_ctx(self) -> SuffixContext:
         return build_suffix_context(reverse(self.w))
 
-    def _lz_ctx(self) -> SuffixContext:
-        if self.links:
-            self.ctx.matcher
-        return self.ctx
+    @functools.cached_property
+    def lz_ctx(self) -> SuffixContext | _SuffixMatcher:
+        return _SuffixMatcher(self.ctx) if self.links else self.ctx
 
     # z and z_e keep their parses, which z_end's search starts from
     @functools.cached_property
     def lz(self) -> Parsing:
-        return lz_parse(self.w, self._lz_ctx())
+        return lz_parse(self.w, self.lz_ctx)
 
     @functools.cached_property
     def lz_end(self) -> Parsing:
-        return lz_end_greedy(self.w, self._lz_ctx(), self.rev_ctx)
+        return lz_end_greedy(self.w, self.lz_ctx, self.rev_ctx)
 
     # r and r_b keep their transforms, which verify checks against the closed
     # forms; named by transform_predictions' variants, looked up at call time
@@ -86,7 +85,7 @@ class _MeasureRunner:
 
 
 def _z_end(t: _MeasureRunner) -> tuple[int, bool]:
-    parsing, exact = lz_end_optimal(t.w, t.node_budget, t.ctx, t.lz_end, t.lz)
+    parsing, exact = lz_end_optimal(t.w, t.node_budget, t.lz_ctx, t.lz_end, t.lz)
     return len(parsing), exact
 
 
@@ -102,7 +101,7 @@ MEASURES: dict[str, Callable[[_MeasureRunner], tuple[object, bool]]] = {
     "z": lambda t: (len(t.lz), True),
     "z_e": lambda t: (len(t.lz_end), True),
     "z_end": _z_end,
-    "z_no": lambda t: (len(lz_no_overlap(t.w, t.ctx)), True),
+    "z_no": lambda t: (len(lz_no_overlap(t.w, t.lz_ctx)), True),
 }
 MEASURE_IDS = tuple(MEASURES)
 
@@ -154,10 +153,8 @@ def sensitivity_report(
     fwd = [MEASURES[m](runner) for m in wanted]
     rev_runner = _MeasureRunner(reverse(w), wanted, node_budget)
     if "rev_ctx" in vars(runner):
-        # z_e sorted reverse(w): hand that over, and w's arrays as the reversal's
-        # rev_ctx; w's matcher is left out, so it dies with `runner`
-        rev_runner.ctx = runner.rev_ctx
-        rev_runner.rev_ctx = SuffixContext(runner.ctx.sa, runner.ctx.isa, runner.ctx.lcp)
+        # z_e sorted reverse(w): hand that over, and w's as the reversal's rev_ctx
+        rev_runner.ctx, rev_runner.rev_ctx = runner.rev_ctx, runner.ctx
     del runner
     rev = [MEASURES[m](rev_runner) for m in wanted]
     return [_report(m, vf, vr, ef and er) for m, (vf, ef), (vr, er) in zip(wanted, fwd, rev)]

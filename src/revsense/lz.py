@@ -27,12 +27,12 @@ character.  The variants differ only in which sources qualify:
                     moves of the nodes on its path.
 
 z, the bound L of z_e and z_end's lower bound read the longest previous
-factor at increasing positions.  Where the link pass (`_SuffixMatcher`,
-each rank's nearest earlier-starting ranks) is not built, they mark the
-ranks of the positions passed and search the marks instead
-(`_earlier_matches`), so they make no pass over all ranks.  z_no's walk
-reads the links at every rank; where those are built, the others read
-them too.
+factor at increasing positions.  z_no's walk reads the link pass
+(`_SuffixMatcher`, each rank's nearest earlier-starting ranks) at every
+rank; a link pass stands in for its suffix context wherever one is read.
+Given one, the others read its links; given a plain context, they mark the
+ranks of the positions passed and search the marks (`_earlier_matches`),
+so they make no pass over all ranks.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import functools
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
 
 from .suffixes import SuffixContext, build_suffix_context, context_for
 from .text import Text, reverse
@@ -92,7 +91,8 @@ class Parsing:
 
 class _SuffixMatcher:
     """Longest-match links over a suffix context, read by z_no's walk at
-    every rank, and by z, z_e and z_end's lower bound when built.
+    every rank, and by z, z_e and z_end's lower bound when given one.  It
+    keeps the context's `sa`, `isa`, `lcp` and length, so it stands in for it.
 
     psv[r] / nsv[r] is the nearest rank before / after r whose suffix
     starts earlier, or -1; plcp[r] / nlcp[r] is the lcp of the suffixes
@@ -105,8 +105,8 @@ class _SuffixMatcher:
     """
 
     def __init__(self, ctx: SuffixContext):
-        n = self.n = len(ctx)
-        self.isa, self.sa = ctx.isa, ctx.sa
+        n = len(ctx)
+        self.sa, self.isa, self.lcp = ctx.sa, ctx.isa, ctx.lcp
         self.psv = psv = [-1] * n
         self.nsv = nsv = [-1] * n
         self.plcp = plcp = [0] * n
@@ -122,6 +122,9 @@ class _SuffixMatcher:
             psv[r], plcp[r] = stack[-1], m
             stack.append(r)
             starts.append(p)
+
+    def __len__(self) -> int:
+        return len(self.sa)
 
     def longest_earlier_match(self, i0: int) -> tuple[int, int | None]:
         """Longest prefix of w[i0:] occurring at some position < i0
@@ -149,7 +152,7 @@ class _SuffixMatcher:
         sa = self.sa
         best, src = 0, None
         for chain, link in ((self.psv, self.plcp), (self.nsv, self.nlcp)):
-            x, c = r, self.n
+            x, c = r, len(sa)
             while chain[x] >= 0:
                 if link[x] < c:
                     c = link[x]
@@ -164,10 +167,10 @@ class _SuffixMatcher:
         return best, src
 
 
-def _earlier_matches(w: Text, ctx: SuffixContext):
+def _earlier_matches(w: Text, ctx: SuffixContext | _SuffixMatcher):
     """`_SuffixMatcher.longest_earlier_match` for a caller that asks at
-    increasing positions (a parse, or z_end's lower bound at every one),
-    with no pass over all ranks when the link pass is not built already.
+    increasing positions (a parse, or z_end's lower bound at every one):
+    the link pass's own if `ctx` is one, else one with no pass over all ranks.
 
     Before answering at i0 it marks the ranks of the positions < i0 in a
     byte array, so the nearest earlier-starting rank on each side of
@@ -179,8 +182,8 @@ def _earlier_matches(w: Text, ctx: SuffixContext):
     parse pays O(n) for the marks plus, per phrase, two byte searches and
     those scans.
     """
-    if "matcher" in vars(ctx):
-        return ctx.matcher.longest_earlier_match
+    if isinstance(ctx, _SuffixMatcher):
+        return ctx.longest_earlier_match
     sa, isa, lcp, s = ctx.sa, ctx.isa, ctx.lcp, w.symbols
     marked = bytearray(len(sa))
     rfind, find = marked.rfind, marked.find
@@ -255,16 +258,18 @@ def lz_parse(w: Text, ctx: SuffixContext | None = None) -> Parsing:
     """Greedy LZ with self-overlap allowed; phrase count = z(w).
 
     Each phrase is the longest previous factor at its start, read off the
-    links of `ctx.matcher` when they are built, and off marked earlier
-    ranks (`_earlier_matches`) when not: O(n) for the marks plus, per
-    phrase, two byte searches and a scan of `ctx.lcp` between ranks of one
-    first symbol."""
+    links when `ctx` is a link pass (`_SuffixMatcher`), and off marked
+    earlier ranks (`_earlier_matches`) when not: O(n) for the marks plus,
+    per phrase, two byte searches and a scan of `ctx.lcp` between ranks of
+    one first symbol."""
     return _greedy_parse(w, ctx, functools.partial(_earlier_matches, w), "lz")
 
 
 def lz_no_overlap(w: Text, ctx: SuffixContext | None = None) -> Parsing:
-    """Greedy LZ with sources completely to the left; count = z_no(w)."""
-    return _greedy_parse(w, ctx, attrgetter("matcher.longest_nonoverlapping_match"), "lz_no")
+    """Greedy LZ with sources completely to the left; count = z_no(w).
+    It walks the links of `ctx` if that is a link pass, else builds one."""
+    return _greedy_parse(w, ctx, lambda c: (c if isinstance(c, _SuffixMatcher) else _SuffixMatcher(c))
+                         .longest_nonoverlapping_match, "lz_no")
 
 
 def lz_end_greedy(w: Text, ctx: SuffixContext | None = None,
@@ -375,14 +380,16 @@ def lz_end_optimal(
     is returned).
 
     `greedy` and `base` are lz_end_greedy(w) and lz_parse(w) when the
-    caller has them already; each one not given is computed here.
+    caller has them already; a parsing of another variant or text is
+    refused, and each one not given is computed here.
     """
     if len(w) == 0:
         raise ValueError("cannot parse the empty text")
     if node_budget < 1:
         raise ValueError("node_budget must be positive")
-    if (greedy and greedy.variant != "lz_end_greedy") or (base and base.variant != "lz"):
-        raise ValueError("greedy and base must be the lz_end_greedy and lz_parse parsings")
+    for given, variant in ((greedy, "lz_end_greedy"), (base, "lz")):
+        if given and (given.variant, given.bounds[-1]) != (variant, len(w)):
+            raise ValueError("greedy and base must be the lz_end_greedy and lz_parse parsings of w")
     ctx = context_for(w, ctx)
     greedy = greedy or lz_end_greedy(w, ctx)
     base = base or lz_parse(w, ctx)

@@ -19,7 +19,6 @@ off the kernel's arrays.
 
 from __future__ import annotations
 
-import functools
 import operator
 from array import array
 from dataclasses import dataclass
@@ -51,15 +50,6 @@ class SuffixContext:
 
     def __len__(self) -> int:
         return len(self.sa)
-
-    @functools.cached_property
-    def matcher(self):
-        """The LZ link pass over these arrays (`lz._SuffixMatcher`), built
-        on first use and kept for the life of the context, so at most once
-        per text.  z_no builds it; z, z_e and z_end's lower bound read it
-        once it is built and otherwise build nothing (`lz._earlier_matches`)."""
-        from . import lz    # lz imports this module
-        return lz._SuffixMatcher(self)
 
 
 def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, int]:

@@ -81,6 +81,15 @@ def test_r_dollar_answers_when_an_unnamed_rank_prints_as_the_sentinel():
     assert bwt_sentinel(Text((36, 1))).output.display() == "<1> <36> $"
 
 
+def test_r_dollar_answers_when_another_symbol_shows_as_36():
+    # rank 36 prints as "$", and <36> is taken, so it shows as the next free name
+    for w, shown in ((Text((36, 5), {5: "<36>"}), "<36> <<36>> $"),
+                     (Text((36, 5, 7), {5: "<36>", 7: "<<36>>"}), "<<36>> <<<36>>> <36> $")):
+        assert evaluate(w, ["r_dollar"]) == evaluate(Text(w.symbols), ["r_dollar"])
+        assert bwt_sentinel(w).output.display() == shown
+        assert bwt_sentinel(w).output.symbols == bwt_sentinel(Text(w.symbols)).output.symbols
+
+
 @given(nonempty_texts)
 def test_bwt_is_permutation(w):
     assert Counter(bwt(w).output.symbols) == Counter(w.symbols)

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from revsense.bwt import bwt_sentinel
 from revsense.families import FamilySpec, T55, generate
 from revsense.lexparse import lex_parse
 from revsense.lz import (
@@ -20,6 +21,7 @@ from revsense.lz import (
     lz_no_overlap,
     lz_parse,
 )
+from revsense.measures import right_extension_count, substring_complexity
 from revsense.suffixes import build_suffix_context
 from revsense.text import Text, reverse
 
@@ -183,18 +185,23 @@ def test_end_optimal_search_memory_is_linear():
     assert peak < 2**19, peak
 
 
-def test_one_matcher_per_text(monkeypatch):
-    from revsense import lz
-    from revsense.harness import sensitivity_report
-    from revsense.suffixes import build_suffix_context
+@pytest.fixture
+def matcher_builds(monkeypatch):
+    """The arguments of each `_SuffixMatcher` build (link pass) from here on."""
     builds = []
-    init = lz._SuffixMatcher.__init__
+    init = _SuffixMatcher.__init__
 
     def counted(self, *args):
         builds.append(args)
         init(self, *args)
 
-    monkeypatch.setattr(lz._SuffixMatcher, "__init__", counted)
+    monkeypatch.setattr(_SuffixMatcher, "__init__", counted)
+    return builds
+
+
+def test_one_matcher_per_text(matcher_builds):
+    from revsense.harness import sensitivity_report
+    builds = matcher_builds
     w = Text.from_str("101000100001100010000100")
     assert len(lz_parse(w)) != len(lz_end_greedy(w))     # z_end runs its search
     builds.clear()
@@ -207,7 +214,7 @@ def test_one_matcher_per_text(monkeypatch):
     for parse in (lz_parse, lz_no_overlap, lz_end_greedy, lz_end_optimal):
         assert parse(w, ctx=ctx) == parse(w)
     assert lz_end_greedy(w, ctx, rev_ctx) == lz_end_greedy(w)
-    # the cached matcher is not part of the context's value; its arrays are not hashable
+    # a context is its three arrays, which are not hashable
     assert ctx == build_suffix_context(w)
     with pytest.raises(TypeError):
         hash(ctx)
@@ -246,6 +253,30 @@ def test_z_end_reuses_the_greedy_parses(monkeypatch):
         lz_end_optimal(w, greedy=base)
     with pytest.raises(ValueError):
         lz_end_optimal(w, base=greedy)
+    # parses of another text are refused too: for "abc" the shortcut would fire
+    for other in (Text.from_str("abc"), w[1:], Text(w.symbols + w.symbols[:1])):
+        for given in ({"greedy": lz_end_greedy(other)}, {"base": lz_parse(other)},
+                      {"greedy": lz_end_greedy(other), "base": lz_parse(other)}):
+            with pytest.raises(ValueError, match="parsings of w"):
+                lz_end_optimal(w, **given)
+
+
+def test_a_link_pass_stands_in_for_its_context():
+    # every reader of a suffix context gives the same answer on the link
+    # pass built over it, which keeps the context's arrays and length; on
+    # the random text z < z_e, so z_end's search runs on the links
+    rng = random.Random(28)
+    readers = (lz_parse, lz_no_overlap, lz_end_greedy, lz_end_optimal, lex_parse,
+               substring_complexity, right_extension_count, bwt_sentinel)
+    for w in (generate(FamilySpec("t55")), generate(FamilySpec("fib", 12)),
+              Text(tuple(rng.randrange(4) for _ in range(100)))):
+        ctx = build_suffix_context(w)
+        links = _SuffixMatcher(ctx)
+        assert len(links) == len(ctx) == len(w)
+        for read in readers:
+            assert read(w, ctx=links) == read(w, ctx=ctx), (read.__name__, len(w))
+        with pytest.raises(ValueError, match="suffix context of"):
+            lz_parse(w[1:], links)
 
 
 def _source_constraints_ok(parsing, w):
@@ -374,7 +405,7 @@ def _link_texts():
 def test_matcher_links_match_definition():
     for s in _link_texts():
         n = len(s)
-        m = build_suffix_context(Text(s)).matcher
+        m = _SuffixMatcher(build_suffix_context(Text(s)))
         sa = m.sa
         for r in range(n):
             before = [x for x in range(r) if sa[x] < sa[r]]
@@ -409,18 +440,19 @@ def _texts_with_and_without_links():
         yield reverse(w)
 
 
-def test_parses_equal_with_and_without_links():
+def test_parses_equal_with_and_without_links(matcher_builds):
     for w in _texts_with_and_without_links():
         ctx, rev_ctx = build_suffix_context(w), build_suffix_context(reverse(w))
         marked = lz_parse(w, ctx), lz_end_greedy(w, ctx, rev_ctx)
-        assert "matcher" not in vars(ctx)
-        ctx.matcher
-        linked = lz_parse(w, ctx), lz_end_greedy(w, ctx, rev_ctx)
+        assert matcher_builds == []
+        links = _SuffixMatcher(ctx)
+        matcher_builds.clear()
+        linked = lz_parse(w, links), lz_end_greedy(w, links, rev_ctx)
         for p, q in zip(marked, linked):
             assert p.bounds == q.bounds and p.sources == q.sources, (len(w), p.variant)
 
 
-def test_lz_parse_scales_without_links():
+def test_lz_parse_scales_without_links(matcher_builds):
     # T_p 40, n = 674,859: the link pass alone takes about 0.15 s; without
     # the first-symbol check the marked ranks' lcp scans cover about 62 n
     # ranks, and the parse 0.74 s
@@ -429,13 +461,13 @@ def test_lz_parse_scales_without_links():
     t0 = time.perf_counter()
     p = lz_parse(w, ctx)
     elapsed = time.perf_counter() - t0
-    assert "matcher" not in vars(ctx)
+    assert matcher_builds == []
     assert len(p) == 2460
     assert elapsed < 0.3, elapsed
 
 
 def test_matcher_memory_is_linear():
-    # the matcher reads the context's sa and isa and adds four link lists,
+    # the link pass keeps the context's arrays and adds four link lists,
     # about 10 MB here; a shifted list copy of either, [r + 1 for r in isa],
     # adds 7.6 MB of new ints
     rng = random.Random(16)
@@ -456,10 +488,10 @@ def test_end_greedy_memory_is_linear():
     rng = random.Random(16)
     w = Text(tuple(rng.randrange(4) for _ in range(2 * 10**5)))
     ctx, rev_ctx = build_suffix_context(w), build_suffix_context(reverse(w))
-    ctx.matcher
+    links = _SuffixMatcher(ctx)
     tracemalloc.start()
     try:
-        lz_end_greedy(w, ctx, rev_ctx)
+        lz_end_greedy(w, links, rev_ctx)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -471,11 +503,10 @@ def test_parse_memory_is_compact():
     # object per phrase held 4.0 MB
     rng = random.Random(16)
     w = Text(tuple(rng.randrange(4) for _ in range(2 * 10**5)))
-    ctx = build_suffix_context(w)
-    ctx.matcher
+    links = _SuffixMatcher(build_suffix_context(w))
     tracemalloc.start()
     try:
-        p = lz_parse(w, ctx)
+        p = lz_parse(w, links)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -483,7 +514,7 @@ def test_parse_memory_is_compact():
     assert held < 2 * 2**20, held
 
 
-def test_parse_without_links_memory_is_compact():
+def test_parse_without_links_memory_is_compact(matcher_builds):
     # the marks take one byte per rank; the link pass adds four lists of
     # n ints, 11.7 MB peak with the parse here
     rng = random.Random(16)
@@ -495,7 +526,7 @@ def test_parse_without_links_memory_is_compact():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert "matcher" not in vars(ctx)
+    assert matcher_builds == []
     assert peak < 3 * 2**20, peak
 
 
@@ -532,7 +563,7 @@ def test_compact_parsing_matches_explicit_phrases():
         # decoding and by the end-alignment constraints
         assert decode_parsing(opt, w) == s and _source_constraints_ok(opt, w)
         cases = [
-            (lz_parse(w), _greedy_phrases(n, ctx.matcher.longest_earlier_match)),
+            (lz_parse(w), _greedy_phrases(n, _SuffixMatcher(ctx).longest_earlier_match)),
             (lz_no_overlap(w), tuple(Phrase(*t) for t in brute_lz_no_overlap(s))),
             (lz_end_greedy(w), tuple(Phrase(*t) for t in brute_lz_end_greedy(s))),
             (lex_parse(w), _greedy_phrases(
