@@ -33,7 +33,7 @@ from .harness import (
     verify,
 )
 from .lexparse import lex_parse
-from .lz import Parsing, Phrase, lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
+from .lz import Parsing, lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
 from .measures import right_extension_count, substring_complexity
 from .suffixes import SuffixContext, build_suffix_context, cyclic_rotation_order
 from .text import Text, lyndon_starts, reverse

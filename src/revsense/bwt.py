@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import count, repeat
 from typing import Sequence
 
@@ -32,33 +32,21 @@ class TransformResult:
     """A transform of `source`: its output holds source's symbols at the
     0-based `positions`, and `run_count` counts that output's runs.  The
     output Text is built on first read, so a run count alone builds no
-    tuple or Text.  Two results are equal iff they have the same output,
-    run count and variant."""
+    tuple or Text.  Results compare by identity; two transforms agree iff
+    their (output, run_count) pairs are equal."""
 
     source: Text
     positions: np.ndarray
     run_count: int
-    variant: str
 
     @functools.cached_property
     def output(self) -> Text:
         s = self.source.symbols
         return Text(tuple(map(s.__getitem__, self.positions.tolist())), self.source.names)
 
-    def _key(self) -> tuple:
-        return self.output, self.run_count, self.variant
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TransformResult):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
 
 def _cycle_transform(
-    w: Text, starts: Sequence[int], variant: str, order: Sequence[int] | None = None
+    w: Text, starts: Sequence[int], order: Sequence[int] | None = None
 ) -> TransformResult:
     """Last symbols of the rotations of the cycles of w (the factors that
     begin at `starts`) in cyclic_rotation_order, and their run count.  A
@@ -77,7 +65,7 @@ def _cycle_transform(
     positions = pred[np.asarray(order, dtype=np.int64)]
     out = w.dense_ranks[positions]
     runs = 1 + int(np.count_nonzero(out[1:] != out[:-1]))
-    return TransformResult(w, positions, runs, variant)
+    return TransformResult(w, positions, runs)
 
 
 def bwt(w: Text, order: Sequence[int] | None = None) -> TransformResult:
@@ -89,7 +77,7 @@ def bwt(w: Text, order: Sequence[int] | None = None) -> TransformResult:
     """
     if len(w) == 0:
         raise ValueError("BWT requires a non-empty text")
-    return _cycle_transform(w, (0,), "plain", order)
+    return _cycle_transform(w, (0,), order)
 
 
 def bwt_sentinel(w: Text, ctx: SuffixContext | None = None) -> TransformResult:
@@ -122,7 +110,7 @@ def bwt_sentinel(w: Text, ctx: SuffixContext | None = None) -> TransformResult:
     ranks.flags.writeable = False
     shifted = _derived((*map(operator.add, w.symbols, repeat(1)), 0), names,
                        alphabet=(0, *map(operator.add, w.alphabet, repeat(1))), dense_ranks=ranks)
-    return replace(bwt(shifted, order), variant="sentinel")
+    return bwt(shifted, order)
 
 
 def bbwt(w: Text, order: Sequence[int] | None = None) -> TransformResult:
@@ -142,4 +130,4 @@ def bbwt(w: Text, order: Sequence[int] | None = None) -> TransformResult:
     """
     if len(w) == 0:
         raise ValueError("BBWT requires a non-empty text")
-    return _cycle_transform(w, lyndon_starts(w), "bijective", order)
+    return _cycle_transform(w, lyndon_starts(w), order)

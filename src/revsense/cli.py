@@ -23,9 +23,9 @@ from bisect import bisect_right
 from . import textio
 from .bwt import bbwt, bwt
 from .families import FAMILIES, VERIFY_GRIDS, FamilySpec, generate
-from .harness import DEFAULT_NODE_BUDGET, MEASURE_IDS, evaluate, rows_to_csv, sweep, verify
+from .harness import MEASURE_IDS, evaluate, rows_to_csv, sweep, verify
 from .lexparse import lex_parse
-from .lz import lz_end_greedy, lz_no_overlap, lz_parse
+from .lz import DEFAULT_NODE_BUDGET, lz_end_greedy, lz_no_overlap, lz_parse
 from .suffixes import cyclic_rotation_order
 from .text import Text, lyndon_starts, reverse
 
@@ -203,9 +203,11 @@ def cmd_show(args: argparse.Namespace) -> int:
         lines.append(f"{args.view}: {result.output.display()}   runs={result.run_count}")
     else:
         parsing = PARSE_VIEWS[args.view](w)
-        for i, (ph, chunk) in enumerate(zip(parsing.phrases, parsing.phrase_texts(w)), start=1):
-            src = "literal" if ph.source is None else f"source={ph.source}"
-            lines.append(f"{i:>4}  [{ph.start},{ph.end}]  {chunk.display()}  ({src})")
+        b = parsing.bounds
+        # the listing is 1-based, as the paper counts positions
+        for i, (start, end, src) in enumerate(zip(b, b[1:], parsing.sources), start=1):
+            note = "literal" if src is None else f"source={src + 1}"
+            lines.append(f"{i:>4}  [{start + 1},{end}]  {w[start:end].display()}  ({note})")
         lines.append(f"{args.view}: {len(parsing)} phrases")
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK

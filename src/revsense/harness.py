@@ -27,12 +27,11 @@ from .families import (
     transform_predictions,
 )
 from .lexparse import lex_parse
-from .lz import Parsing, _SuffixMatcher, lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
+from .lz import (DEFAULT_NODE_BUDGET, Parsing, _SuffixMatcher, lz_end_greedy, lz_end_optimal,
+                 lz_no_overlap, lz_parse)
 from .measures import right_extension_count, substring_complexity
 from .suffixes import SuffixContext, build_suffix_context
 from .text import Text, reverse
-
-DEFAULT_NODE_BUDGET = 10**6
 
 
 class _MeasureRunner:

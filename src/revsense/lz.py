@@ -2,9 +2,11 @@
 non-overlapping (z_no), greedy end-aligned (z_e), and the smallest
 end-aligned parsing (z_end) by bounded exact search.
 
-Phrase model: a parsing tiles the text; a phrase either copies some
+Parsing model: a parsing tiles the text; a phrase either copies some
 earlier-starting occurrence (its source) or is a single literal
-character.  The variants differ only in which sources qualify:
+character.  A `Parsing` keeps only ints, the 0-based phrase bounds and
+sources, and every measure reads its length.  The variants differ only in
+which sources qualify:
 
 * lz_parse       -- source starts strictly before the phrase (it may
                     overlap the phrase).
@@ -38,6 +40,7 @@ so they make no pass over all ranks.
 from __future__ import annotations
 
 import functools
+import numbers
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -45,26 +48,15 @@ from dataclasses import dataclass
 from .suffixes import SuffixContext, build_suffix_context, context_for
 from .text import Text, reverse
 
-
-@dataclass(frozen=True)
-class Phrase:
-    start: int            # 1-based
-    length: int
-    source: int | None    # 1-based start of the copied occurrence; None = literal
-
-    @property
-    def end(self) -> int:
-        return self.start + self.length - 1
+DEFAULT_NODE_BUDGET = 10**6     # lz_end_optimal's search stops, inexact, after this many nodes
 
 
 @dataclass(frozen=True)
 class Parsing:
     """A tiling of a text into phrases, kept as ints: `bounds` holds the
     0-based phrase starts followed by n, and `sources` the 0-based source
-    of each phrase, None for a literal.  Length, `shape()` and
-    `phrase_texts()` read these directly; `phrases`, the 1-based `Phrase`
-    values, is built on first access.  Two parsings are equal iff they
-    have the same phrases and variant."""
+    of each phrase, None for a literal.  Two parsings are equal iff they
+    have the same bounds, sources and variant."""
 
     bounds: tuple[int, ...]
     sources: tuple[int | None, ...]
@@ -72,17 +64,6 @@ class Parsing:
 
     def __len__(self) -> int:
         return len(self.sources)
-
-    @functools.cached_property
-    def phrases(self) -> tuple[Phrase, ...]:
-        b = self.bounds
-        return tuple(Phrase(i + 1, j - i, None if src is None else src + 1)
-                     for i, j, src in zip(b, b[1:], self.sources))
-
-    def shape(self) -> tuple[tuple[int, int], ...]:
-        """(start, length) pairs; two parsings factorize alike iff equal."""
-        b = self.bounds
-        return tuple((i + 1, j - i) for i, j in zip(b, b[1:]))
 
     def phrase_texts(self, w: Text) -> list[Text]:
         b = self.bounds
@@ -235,8 +216,7 @@ def _greedy_parse(w: Text, ctx: SuffixContext | None, rule, variant: str) -> Par
     bound once per parse, that reports the longest qualifying source at i0
     as (length, source0), or (0, None) for a literal.  Every greedy parse
     runs this loop, the lexicographic one (`lexparse.lex_parse`) included.
-    It records each phrase as two ints, its start and source; no `Phrase`
-    is built unless `Parsing.phrases` is read."""
+    It records each phrase as two ints, its start and source."""
     if len(w) == 0:
         raise ValueError("cannot parse the empty text")
     longest_match = rule(context_for(w, ctx))
@@ -357,7 +337,7 @@ def lz_end_greedy(w: Text, ctx: SuffixContext | None = None,
 
 
 def lz_end_optimal(
-    w: Text, node_budget: int = 10**6, ctx: SuffixContext | None = None,
+    w: Text, node_budget: int = DEFAULT_NODE_BUDGET, ctx: SuffixContext | None = None,
     greedy: Parsing | None = None, base: Parsing | None = None,
 ) -> tuple[Parsing, bool]:
     """Smallest end-aligned parsing; count = z_end(w).
@@ -376,8 +356,8 @@ def lz_end_optimal(
     path, longest first, then the literal.  So the search holds O(n)
     memory (the bound, the path and one node's matches) besides the moves
     of the nodes on the path, at most LPF(i0) at position i0.  Exactness
-    is False when node_budget is exhausted (the best parsing found so far
-    is returned).
+    is False when node_budget, a positive integer, is exhausted (the best
+    parsing found so far is returned).
 
     `greedy` and `base` are lz_end_greedy(w) and lz_parse(w) when the
     caller has them already; a parsing of another variant or text is
@@ -385,8 +365,8 @@ def lz_end_optimal(
     """
     if len(w) == 0:
         raise ValueError("cannot parse the empty text")
-    if node_budget < 1:
-        raise ValueError("node_budget must be positive")
+    if not isinstance(node_budget, numbers.Integral) or node_budget < 1:
+        raise ValueError(f"node_budget must be a positive integer, got {node_budget!r}")
     for given, variant in ((greedy, "lz_end_greedy"), (base, "lz")):
         if given and (given.variant, given.bounds[-1]) != (variant, len(w)):
             raise ValueError("greedy and base must be the lz_end_greedy and lz_parse parsings of w")

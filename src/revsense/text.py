@@ -15,6 +15,7 @@ them backwards.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -61,8 +62,12 @@ class Text:
 
     @functools.cached_property
     def alphabet(self) -> tuple[int, ...]:
-        """The distinct symbols in increasing order."""
-        return tuple(sorted(set(self.symbols)))
+        """The distinct symbols in increasing order.  A symbol that is not an
+        integer is refused here, where each distinct one is read once."""
+        try:
+            return tuple(map(operator.index, sorted(set(self.symbols))))
+        except TypeError:
+            raise ValueError("symbols must be integers") from None
 
     @functools.cached_property
     def dense_ranks(self) -> np.ndarray:

@@ -9,6 +9,7 @@ SuffixContext only so that results compare with ==.  `rle` and
 that run counts are checked against, and the factors that
 `text.lyndon_starts` delimits.
 
+`phrase_triples` states a library parsing in the oracles' 1-based form.
 The helpers at the end are test-only API over the library: `concat`,
 `is_lyndon` (from `text.lyndon_starts`), KMP `occurrences` (1-based, as
 the paper reports positions), the per-length counts that `delta` maximizes
@@ -280,6 +281,15 @@ def brute_right_extensions(s):
     return out
 
 
+def phrase_triples(parsing):
+    """A library parsing's phrases as 1-based (start, length, source)
+    triples, source None for a literal: the form in which the paper and
+    the brute-force oracles state a parse."""
+    b = parsing.bounds
+    return tuple((i + 1, j - i, None if src is None else src + 1)
+                 for i, j, src in zip(b, b[1:], parsing.sources))
+
+
 def decode_parsing(parsing, w):
     """Rebuild the text from phrase sources (literals from the phrase start).
 
@@ -288,14 +298,14 @@ def decode_parsing(parsing, w):
     source overlaps the phrase.
     """
     out = []
-    for ph in parsing.phrases:
-        if ph.source is None:
-            assert ph.length == 1
-            out.append(w.symbols[ph.start - 1])
+    b = parsing.bounds
+    for i, j, src in zip(b, b[1:], parsing.sources):
+        if src is None:
+            assert j - i == 1
+            out.append(w.symbols[i])
         else:
-            src0 = ph.source - 1
-            for t in range(ph.length):
-                out.append(out[src0 + t])
+            for t in range(j - i):
+                out.append(out[src + t])
     return tuple(out)
 
 

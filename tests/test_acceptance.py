@@ -43,6 +43,7 @@ from oracles import (
     lyndon_factorize,
     naive_cyclic_rotation_order,
     naive_suffix_context,
+    phrase_triples,
     random_symbols,
 )
 
@@ -165,10 +166,10 @@ def test_criterion_4_linear_gap_family():
             p_no = lz_no_overlap(text, ctx)
             p_e = lz_end_greedy(text, ctx)
             ok = ok and len(p_lz) == len(p_no) == len(p_e) == expected
-            ok = ok and p_lz.shape() == p_no.shape() == p_e.shape()
+            ok = ok and p_lz.bounds == p_no.bounds == p_e.bounds
             # sandwich shortcut applies: greedy end-aligned already matches z
             p_end, exact = lz_end_optimal(text, ctx=ctx)
-            ok = ok and exact and len(p_end) == expected and p_end.shape() == p_lz.shape()
+            ok = ok and exact and len(p_end) == expected and p_end.bounds == p_lz.bounds
         n = 3 * sigma - 2
         gap = (2 * sigma - 1) - (5 * sigma // 2 - 2)
         ok = ok and gap == -((n + 2) // 6 - 1)  # reversal shrinks w_sigma by the stated gap
@@ -253,9 +254,9 @@ def test_criterion_8a_oracle_equivalence():
             mismatches += 1
         if tuple(cyclic_rotation_order(w)) != naive_cyclic_rotation_order(w):
             mismatches += 1
-        if lz_parse(w, ec).shape() != brute_z_shape_cached(s):
+        if tuple(t[:2] for t in phrase_triples(lz_parse(w, ec))) != brute_z_shape_cached(s):
             mismatches += 1
-        if lex_parse(w, ec).shape() != lex_parse(w, naive_suffix_context(w)).shape():
+        if lex_parse(w, ec).bounds != lex_parse(w, naive_suffix_context(w)).bounds:
             mismatches += 1
     report("8a", mismatches == 0,
            f"efficient vs naive SA/LCP/rotation/LZ/lex on 10^4 strings, {mismatches} mismatches")

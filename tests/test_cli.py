@@ -244,6 +244,30 @@ def test_show_parse_views(tmp_path, capsys):
     assert "lz: 13 phrases" in capsys.readouterr().out
 
 
+SHOW_MEMBERS = [("t55", None), ("t55_rev", None), ("w_sigma", 6), ("w_sigma_rev", 8),
+                ("T_p", 3), ("T_p_rev", 4), ("fib", 10), ("c_fib_rev", 9), ("u_k", 3),
+                ("unary_plus", 12)]
+
+
+@pytest.mark.parametrize("view, digest", [
+    ("lz", "e0b8c1a1545a745935e2fd8108c07493a89fd2f53cc892896e393406a60574b6"),
+    ("lz_no", "6d68672180c2c970ba1db8cf8f4c5c73ee84ff9addfbb80b2e68648292f4f60d"),
+    ("lz_end", "8d982629709d4f495f6fd91926014eca1df6af4df98cabe74b5fa7cae3866e46"),
+    ("lex", "09c30df3d5a243debe142cc3b9edcb728f0da313b280773c61c388547111ea24"),
+    ("bwt", "fd75db8ff21bfeb9f558a5e3f61c5d6bb4e94091b46ea2efb0a5df5a375d861f"),
+    ("bbwt", "4360e5a9cd1d073cbfdb795b16bf77a79fa8f211e2433fc9266d8286378689cc"),
+])
+def test_show_views_are_pinned(view, digest, capsys):
+    """Every `show` view prints the same bytes on ten family members: the
+    sha256 of their outputs, concatenated in SHOW_MEMBERS order."""
+    h = hashlib.sha256()
+    for family, param in SHOW_MEMBERS:
+        argv = ["show", "--family", family, "--view", view]
+        assert run_cli(*argv, *(() if param is None else ("--param", str(param)))) == 0
+        h.update(capsys.readouterr().out.encode("utf-8"))
+    assert h.hexdigest() == digest
+
+
 def test_show_every_view_dispatches(capsys):
     for view in ("bwt", "bbwt", *cli.PARSE_VIEWS):
         assert run_cli("show", "--family", "w_sigma", "--param", "4", "--view", view) == 0

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from revsense.bwt import bbwt, bwt, bwt_sentinel
@@ -127,6 +128,30 @@ def test_neighbouring_symbols_past_int64_stay_apart():
     assert bwt(w).output.symbols == tuple(big + r - 1 if r > 1 else 0 for r in bwt(small).output)
 
 
+@pytest.mark.parametrize("measure", MEASURE_IDS)
+def test_non_integer_symbols_are_refused(measure):
+    # as int64, 1.5 and 1 would share a rank: r = 2 and r_b = 5 here
+    # where the same pattern over integers has 3 and 3
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        evaluate(Text((1.5, 1, 2, 1.5, 1, 2)), [measure])
+    with pytest.raises(ValueError, match="symbols must be integers"):
+        evaluate(Text((1, 2.0, 1)), [measure])
+    # numpy integers are integers
+    ints = (10, 11, 12, 10, 11, 12)
+    assert evaluate(Text(tuple(map(np.int64, ints))), [measure]) == evaluate(Text(ints), [measure])
+
+
+def test_node_budget_must_be_a_positive_integer():
+    # a budget the node count never equals would search to the end: 0.9 s and
+    # (24, True) for 1000.5, where budget 1000 stops at (26, False)
+    rng = random.Random(1)
+    w = Text(tuple(rng.randrange(2) for _ in range(90)))
+    for budget in (1000.5, 1000.0, "1000", 0, -1):
+        with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+            evaluate(w, ["z_end"], budget)
+    assert evaluate(w, ["z_end"], np.int64(1000)) == evaluate(w, ["z_end"], 1000) == [(26, False)]
+
+
 def test_r_dollar_reads_the_shared_suffix_sort(monkeypatch):
     """delta sorts the suffixes of w, which are the rotations of w$, and
     r sorts the rotations of w: two doubling runs, none for r_dollar."""
@@ -185,28 +210,13 @@ def test_report_hands_over_no_matcher():
     assert peak < 55 * 2**20, peak
 
 
-def test_phrase_counts_build_no_phrases(monkeypatch):
-    """v, z, z_e, z_no and z_end read only the phrase count, so no Phrase
-    is built, not even by z_end's search."""
-    from revsense import lz
-    built = []
-    init = lz.Phrase.__init__
-
-    def counted(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(lz.Phrase, "__init__", counted)
-    rng = random.Random(18)
-    for w in (generate(FamilySpec("t55")), Text(tuple(rng.randrange(4) for _ in range(2000)))):
-        evaluate(w, ["v", "z", "z_e", "z_no"])
-        assert built == []
-    # z_end by the z == z_e shortcut, and by a search that beats the greedy z_e
+def test_phrase_counts_build_no_phrases():
+    """A parse measure reads only the length of a parsing, which holds its
+    bounds and sources as ints; z_end counts by the z == z_e shortcut on
+    F_10 and by a search that beats the greedy z_e on 1001011010111."""
     assert evaluate(generate(FamilySpec("fib", 10)), ["z", "z_e", "z_end"]) == [(9, True)] * 3
     w = Text.from_str("1001011010111")
     assert evaluate(w, ["z", "z_e", "z_end"]) == [(8, True), (9, True), (8, True)]
-    assert built == []
-    assert len(lz.lz_parse(w).phrases) == len(built) == 8     # the counter sees them
 
 
 def _count_text_builds(monkeypatch) -> list:

@@ -8,7 +8,7 @@ from revsense.lz import lz_parse
 from revsense.suffixes import build_suffix_context
 from revsense.text import Text, reverse
 
-from oracles import naive_suffix_context, random_symbols
+from oracles import naive_suffix_context, phrase_triples, random_symbols
 
 
 def test_worked_example():
@@ -29,7 +29,7 @@ def test_reversed_fibonacci_with_marker():
     w = generate(FamilySpec("c_fib_rev", 9))
     assert len(w) == 35
     p = lex_parse(w)
-    assert [ph.length for ph in p.phrases] == [1, 1, 6, 13, 13, 1]
+    assert [length for _, length, _ in phrase_triples(p)] == [1, 1, 6, 13, 13, 1]
     texts = p.phrase_texts(w)
     assert texts[2] == central_word(6)
     assert texts[3] == reverse(fibonacci_word(7))
@@ -42,13 +42,14 @@ def test_source_is_lexicographic_predecessor():
     for _ in range(300):
         w = Text(random_symbols(rng, 48))
         ctx = build_suffix_context(w)
-        for ph in lex_parse(w, ctx).phrases:
-            r = ctx.isa[ph.start - 1]
-            if ph.source is None:
-                assert ctx.lcp[r] == 0 and ph.length == 1
+        p = lex_parse(w, ctx)
+        for i, j, src in zip(p.bounds, p.bounds[1:], p.sources):
+            r = ctx.isa[i]
+            if src is None:
+                assert ctx.lcp[r] == 0 and j - i == 1
             else:
-                assert ph.source == ctx.sa[r - 1] + 1
-                assert ph.length == ctx.lcp[r]
+                assert src == ctx.sa[r - 1]
+                assert j - i == ctx.lcp[r]
 
 
 def test_tiling_and_naive_context_agreement():
@@ -57,9 +58,8 @@ def test_tiling_and_naive_context_agreement():
         w = Text(random_symbols(rng, 64))
         p = lex_parse(w, build_suffix_context(w))
         q = lex_parse(w, naive_suffix_context(w))
-        assert p.shape() == q.shape()
-        assert sum(ph.length for ph in p.phrases) == len(w)
-        assert p.phrases[0].start == 1
+        assert p.bounds == q.bounds
+        assert p.bounds[0] == 0 and p.bounds[-1] == len(w)
 
 
 def expected_lex_shape_w_sigma(sigma):
@@ -88,14 +88,14 @@ def test_block_family_phrase_lists():
     for sigma in range(2, 31, 2):
         w = generate(FamilySpec("w_sigma", sigma))
         p = lex_parse(w)
-        assert p.shape() == expected_lex_shape_w_sigma(sigma)
+        assert tuple(t[:2] for t in phrase_triples(p)) == expected_lex_shape_w_sigma(sigma)
         assert len(p) == 5 * sigma // 2 - 2
-        assert p.shape() != lz_parse(w).shape()
+        assert p.bounds != lz_parse(w).bounds
         wr = reverse(w)
         pr = lex_parse(wr)
-        assert pr.shape() == expected_lex_shape_w_sigma_rev(sigma)
+        assert tuple(t[:2] for t in phrase_triples(pr)) == expected_lex_shape_w_sigma_rev(sigma)
         assert len(pr) == 2 * sigma - 1
-        assert pr.shape() != lz_parse(wr).shape()
+        assert pr.bounds != lz_parse(wr).bounds
 
 
 def test_empty_rejected():
