@@ -4,11 +4,14 @@ revsense on a fixed ladder of texts and write BENCH_<tag>.json.
 
 The cases are seeded random texts over 4 symbols at n = 10^3, 10^4, 10^5
 and 10^6 and over 1,000 symbols at n = 10^5, the unary text of 10^5
-symbols, the Fibonacci word F_26, the staircase word T_p 40 and the
-Thue-Morse prefix of 2^16 symbols.  Per case it records the best of
+symbols, the Fibonacci words F_26 and F_30, the staircase word T_p 40 and
+the Thue-Morse prefix of 2^16 symbols.  Per case it records the best of
 --repeat wall times, in seconds, of:
 
     suffix_context   build_suffix_context(w)
+    rotation_order   cyclic_rotation_order(w), the order r reads
+    lyndon_order     cyclic_rotation_order(w, lyndon_starts(w)), the order
+                     of the Lyndon factors' rotations that r_b reads
     link_pass        links = lz._SuffixMatcher(ctx), the links z_no reads
     z                lz_parse(w, ctx) on the plain context, as a report
                      without z_no runs it
@@ -63,8 +66,8 @@ from revsense.bwt import bwt_sentinel  # noqa: E402
 from revsense.families import FamilySpec, generate  # noqa: E402
 from revsense.lexparse import lex_parse  # noqa: E402
 from revsense.measures import right_extension_count, substring_complexity  # noqa: E402
-from revsense.suffixes import build_suffix_context  # noqa: E402
-from revsense.text import Text, reverse  # noqa: E402
+from revsense.suffixes import build_suffix_context, cyclic_rotation_order  # noqa: E402
+from revsense.text import Text, lyndon_starts, reverse  # noqa: E402
 
 GADGET = (1, 0, 0, 1, 0, 1, 1, 0, 1, 0, 1, 1, 1)    # 1001011010111
 
@@ -87,7 +90,8 @@ def cases(tiny):
                 ("thue_morse_512", _thue_morse(2**9))]
     return [*((f"random4_{n}", _random(4, n)) for n in (10**3, 10**4, 10**5, 10**6)),
             ("random1000_100000", _random(1000, 10**5)), ("unary_100000", Text((0,) * 10**5)),
-            ("F_26", generate(FamilySpec("fib", 26))), ("T_p_40", generate(FamilySpec("T_p", 40))),
+            ("F_26", generate(FamilySpec("fib", 26))), ("F_30", generate(FamilySpec("fib", 30))),
+            ("T_p_40", generate(FamilySpec("T_p", 40))),
             ("thue_morse_65536", _thue_morse(2**16))]
 
 
@@ -121,6 +125,9 @@ def measure(w, repeat):
     rev_ctx = build_suffix_context(reverse(w))
     seconds, counts = {}, {}
     seconds["suffix_context"], _ = _best(repeat, lambda: build_suffix_context(w))
+    seconds["rotation_order"], _ = _best(repeat, lambda: cyclic_rotation_order(w))
+    starts = lyndon_starts(w)
+    seconds["lyndon_order"], _ = _best(repeat, lambda: cyclic_rotation_order(w, starts))
     seconds["link_pass"], links = _best(repeat, lambda: lz._SuffixMatcher(ctx))
     seconds["z"], p = _best(repeat, lambda: lz.lz_parse(w, ctx))
     counts["z"] = len(p)

@@ -65,10 +65,6 @@ class Parsing:
     def __len__(self) -> int:
         return len(self.sources)
 
-    def phrase_texts(self, w: Text) -> list[Text]:
-        b = self.bounds
-        return [w[i:j] for i, j in zip(b, b[1:])]
-
 
 class _SuffixMatcher:
     """Longest-match links over a suffix context, read by z_no's walk at

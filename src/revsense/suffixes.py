@@ -3,14 +3,15 @@
 Both orders come from one numpy prefix-doubling kernel (O(n log n)); the
 suffix order of w is the rotation order of w$.  The kernel packs two ids
 into one int64 key by shifts and sorts only to turn the keys back into
-dense ids, as narrow as the number of distinct reads allows.  The LCP
-array is read off the same kernel's rounds, as Manber & Myers (SIAM J.
+dense ids, as narrow as the number of distinct reads allows, and it
+outputs the last sort's order.  On one cycle (w$, or w alone) it reads
+the key 2^j positions on by shifting the key.  The LCP array is read off the same kernel's rounds, as Manber & Myers (SIAM J.
 Comput. 1993) do: each round's ids tell which 2^j-symbol prefixes are
 equal, so a binary lift over them gives every adjacent LCP at once, with
 no walk over the text.  Ranks are int32, so a text holds fewer than 2^31
 symbols.  Both orders start from the text's cached `Text.dense_ranks`;
-`cyclic_rotation_order` returns its int64 array, while a SuffixContext
-keeps the sort's int32 arrays as `array('i')`, which numpy reads in place.
+`cyclic_rotation_order` returns the int64 order, while a SuffixContext
+keeps int32 arrays as `array('i')`, which numpy reads in place.
 
 Positions are 0-based throughout: sa[i] is the start of the (i+1)-th
 smallest suffix and isa[p] the rank of the suffix at p, both read straight
@@ -52,16 +53,29 @@ class SuffixContext:
         return len(self.sa)
 
 
-def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, int]:
+def _dense_ranks(key: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
     """int32 ranks 0, 1, ... of the keys in sorted order (equal keys share
-    a rank), and the number of distinct keys."""
-    order = np.argsort(key)
-    sk = key[order]
-    csum = np.zeros(len(key), dtype=np.int32)
+    a rank), the number of distinct keys, and the int64 order of the
+    positions by key.  While the keys leave s = bit_length(n - 1) bits free,
+    one in-place value sort of key << s | position gives both, equal keys
+    by position; an argsort of wider keys orders equal keys anyhow."""
+    n = len(key)
+    s = (n - 1).bit_length()
+    if int(key.max()) >> (63 - s) == 0:
+        sk = key.astype(np.int64)
+        sk <<= s
+        sk |= np.arange(n)
+        sk.sort()
+        order = sk & ((1 << s) - 1)
+        sk >>= s
+    else:
+        order = np.argsort(key)
+        sk = key[order]
+    csum = np.zeros(n, dtype=np.int32)
     np.cumsum(sk[1:] != sk[:-1], out=csum[1:])
     rank = np.empty_like(csum)
     rank[order] = csum
-    return rank, int(csum[-1]) + 1
+    return rank, int(csum[-1]) + 1, order
 
 
 def _inverse(perm: np.ndarray) -> np.ndarray:
@@ -70,14 +84,22 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _doubling_rounds(rank: np.ndarray, succ: np.ndarray, limit: int) -> Iterator[np.ndarray]:
-    """`_doubling_ranks` round by round.
+def _doubling_rounds(rank: np.ndarray, succ: np.ndarray | None, limit: int) -> Iterator[np.ndarray]:
+    """Prefix doubling over the symbol ranks `rank` along `succ`, a
+    successor permutation, or None for one cycle (i steps to i + 1, the
+    last to 0), which is read by shifting the key instead.
 
     Yields the ids of round j = 0, 1, ... before each doubling: two
-    positions get equal ids exactly when they read the same 2^j symbols
-    along `succ`.  Yields the final ranks last; when the reads became
-    distinct, they are the ids of the round after the last one yielded.
+    positions get equal ids exactly when they read the same 2^j symbols.
     Keys of at most 31 bits, which include every yielded one, are int32.
+    Yields last the int64 order of the positions by their reads, equal
+    reads by position, once the reads are distinct or `limit` symbols were
+    compared.  A round packs two keys into one by shifts, with no sort,
+    while they fit in 62 bits; then a sort turns the keys into G dense ids,
+    bit_length(G - 1) bits wide, and the packing goes on at that width.  So
+    a sort buys three doublings or more while G <= 2^7, two while G <= 2^15
+    and one otherwise, as G <= n < 2^31; Manber & Myers (SIAM J. Comput.
+    1993) sort in every round.
     """
     n = len(rank)
     groups, k = int(rank.max()) + 1, 1
@@ -85,42 +107,28 @@ def _doubling_rounds(rank: np.ndarray, succ: np.ndarray, limit: int) -> Iterator
         key, width = rank, max(1, (groups - 1).bit_length())
         while k < limit and 2 * width <= 62:
             yield key
-            if 2 * width > 31:
-                key = key.astype(np.int64)
-            key = (key << width) | key[succ]
-            succ = succ[succ]
-            k, width = 2 * k, 2 * width
-        rank, groups = _dense_ranks(key)
+            packed = key.astype(np.int64 if 2 * width > 31 else key.dtype)
+            packed <<= width
+            if succ is None:
+                step = k % n
+                packed[:n - step] |= key[step:]
+                packed[n - step:] |= key[:step]
+            else:
+                packed |= key[succ]
+                succ = succ[succ]
+            key, k, width = packed, 2 * k, 2 * width
+        rank, groups, order = _dense_ranks(key)
         if groups == n or k >= limit:
             break
     if groups < n:
-        rank, _ = _dense_ranks(np.multiply(rank, n, dtype=np.int64) + np.arange(n))
-    yield rank
-
-
-def _doubling_ranks(rank: np.ndarray, succ: np.ndarray, limit: int) -> np.ndarray:
-    """Ranks 0..n-1 of the positions by the symbols they reach along `succ`.
-
-    `rank` holds non-negative symbol ranks and `succ` a successor
-    permutation; position i reads rank[i], rank[succ[i]], ...  Prefix
-    doubling compares 2^j symbols after round j and stops once the ranks
-    are distinct or at least `limit` symbols were compared; positions
-    still equal then are ranked by position.  A round packs two keys into
-    one by shifts, with no sort, while they fit in 62 bits; then a sort
-    turns the keys into G dense ids, bit_length(G - 1) bits wide, and the
-    packing goes on at that width.  So a sort buys three doublings or more
-    while G <= 2^7, two while G <= 2^15 and one otherwise, as G <= n < 2^31;
-    Manber & Myers (SIAM J. Comput. 1993) sort in every round.
-    """
-    for rank in _doubling_rounds(rank, succ, limit):
-        pass
-    return rank
+        order = np.argsort(rank, kind="stable")
+    yield order
 
 
 def _suffix_sort(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Suffix array and LCP array; a shorter suffix precedes a longer one
     it prefixes.  This is the rotation order of w$, `$` being a unique
-    smallest symbol, so it ranks the cycle of w$ and drops the `$`.
+    smallest symbol, so it orders the cycle of w$ and drops the `$`.
 
     The LCP comes from the rounds' ids (Manber & Myers): the final round
     makes every 2^J-symbol read distinct, so each adjacent pair has LCP
@@ -132,10 +140,8 @@ def _suffix_sort(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(ranks)
     # the cycle w$: `$` is rank 0 at position n, which wraps to 0
     cycle = np.append(ranks + 1, np.int32(0))
-    succ = np.arange(1, n + 2, dtype=np.int64)
-    succ[n] = 0
-    levels = list(_doubling_rounds(cycle, succ, n + 1))
-    sa = _inverse(levels.pop())[1:]
+    levels = list(_doubling_rounds(cycle, None, n + 1))
+    sa = levels.pop()[1:].astype(np.int32)
     a, b = sa[:-1].astype(np.int64), sa[1:].astype(np.int64)
     while levels:
         ids = levels.pop()
@@ -183,7 +189,11 @@ def cyclic_rotation_order(w: Text, starts: Sequence[int] = (0,)) -> np.ndarray:
             or not all(map(operator.lt, starts, starts[1:]))):
         raise ValueError(f"cycle starts must begin at 0 and increase strictly within [0, {n})")
     ends = (*starts[1:], n)
-    succ = np.arange(1, n + 1, dtype=np.int64)
-    succ[np.asarray(ends, dtype=np.int64) - 1] = starts
+    succ = None
+    if len(starts) > 1:
+        succ = np.arange(1, n + 1, dtype=np.int64)
+        succ[np.asarray(ends, dtype=np.int64) - 1] = starts
     longest = max(map(operator.sub, ends, starts))
-    return _inverse(_doubling_ranks(w.dense_ranks, succ, 2 * longest).astype(np.int64))
+    for order in _doubling_rounds(w.dense_ranks, succ, 2 * longest):
+        pass
+    return order

@@ -37,8 +37,11 @@ class Text:
             ranks = self.alphabet
         else:
             ranks = self.symbols if self.names is None else set(self.symbols)
-        if ranks and min(ranks) < 0:
-            raise ValueError("symbol ranks must be non-negative")
+        try:
+            if ranks and min(ranks) < 0:
+                raise ValueError("symbol ranks must be non-negative")
+        except TypeError:
+            raise ValueError("symbols must be integers") from None
         if self.names is not None:
             shown = set(ranks).union(self.names)
             if len({self.name_of(r) for r in shown}) != len(shown):

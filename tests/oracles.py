@@ -9,7 +9,8 @@ SuffixContext only so that results compare with ==.  `rle` and
 that run counts are checked against, and the factors that
 `text.lyndon_starts` delimits.
 
-`phrase_triples` states a library parsing in the oracles' 1-based form.
+`phrase_triples` states a library parsing in the oracles' 1-based form,
+and `phrase_texts` slices its phrases out of the text.
 The helpers at the end are test-only API over the library: `concat`,
 `is_lyndon` (from `text.lyndon_starts`), KMP `occurrences` (1-based, as
 the paper reports positions), the per-length counts that `delta` maximizes
@@ -288,6 +289,12 @@ def phrase_triples(parsing):
     b = parsing.bounds
     return tuple((i + 1, j - i, None if src is None else src + 1)
                  for i, j, src in zip(b, b[1:], parsing.sources))
+
+
+def phrase_texts(parsing, w):
+    """A library parsing's phrases as slices of the text w it parses."""
+    b = parsing.bounds
+    return [w[i:j] for i, j in zip(b, b[1:])]
 
 
 def decode_parsing(parsing, w):

@@ -43,6 +43,7 @@ from oracles import (
     lyndon_factorize,
     naive_cyclic_rotation_order,
     naive_suffix_context,
+    phrase_texts,
     phrase_triples,
     random_symbols,
 )
@@ -58,10 +59,10 @@ def test_criterion_1_worked_examples():
     ok = bwt(w).output == Text.from_str("bbbaaaaa") and bwt(w).run_count == 2
     ok = ok and bbwt(w).output == Text.from_str("abbaaaab") and bbwt(w).run_count == 4
     x = Text.from_str("abracadabracabra")
-    lz = [t.display() for t in lz_parse(x).phrase_texts(x)]
+    lz = [t.display() for t in phrase_texts(lz_parse(x), x)]
     ok = ok and lz == ["a", "b", "r", "a", "c", "a", "d", "abraca", "bra"]
     ok = ok and len(lz_parse(x)) == 9
-    lex = [t.display() for t in lex_parse(x).phrase_texts(x)]
+    lex = [t.display() for t in phrase_texts(lex_parse(x), x)]
     ok = ok and lex == ["abraca", "d", "abra", "c", "a", "b", "r", "a"]
     ok = ok and len(lex_parse(x)) == 8
     report(1, ok, "BWT/BBWT of baabaaba and LZ/LEX of abracadabracabra, exact")
@@ -191,7 +192,7 @@ def test_criterion_5_lex_parse_results():
         w = generate(FamilySpec("c_fib_rev", k))
         p = lex_parse(w)
         ok = ok and len(p) == 6
-        texts = p.phrase_texts(w)
+        texts = phrase_texts(p, w)
         ok = ok and [t.display() for t in (texts[0], texts[1], texts[5])] == ["b", "a", "c"]
         ok = ok and texts[2] == central_word(k - 3)
         ok = ok and texts[3] == texts[4] == reverse(fibonacci_word(k - 2))

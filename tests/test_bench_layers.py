@@ -19,8 +19,9 @@ def test_tiny_ladder_writes_every_key(tmp_path):
                                  "F_14", "T_p_4", "thue_morse_512"}
     for row in out["cases"].values():
         assert 0 < row["n"] <= 10**3
-        assert set(row["seconds"]) == {"suffix_context", "link_pass", "z", "z_given_links",
-                                       "z_no", "z_e", "v", "e", "delta", "r_dollar"}
+        assert set(row["seconds"]) == {"suffix_context", "rotation_order", "lyndon_order",
+                                       "link_pass", "z", "z_given_links", "z_no", "z_e", "v",
+                                       "e", "delta", "r_dollar"}
         assert all(s >= 0 for s in row["seconds"].values())
         counts = row["counts"]
         assert set(counts) == {"z", "z_no", "z_e", "v", "e", "r_dollar"}

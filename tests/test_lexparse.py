@@ -8,20 +8,20 @@ from revsense.lz import lz_parse
 from revsense.suffixes import build_suffix_context
 from revsense.text import Text, reverse
 
-from oracles import naive_suffix_context, phrase_triples, random_symbols
+from oracles import naive_suffix_context, phrase_texts, phrase_triples, random_symbols
 
 
 def test_worked_example():
     w = Text.from_str("abracadabracabra")
     p = lex_parse(w)
-    assert [t.display() for t in p.phrase_texts(w)] == [
+    assert [t.display() for t in phrase_texts(p, w)] == [
         "abraca", "d", "abra", "c", "a", "b", "r", "a"]
     assert len(p) == 8
 
 
 def test_all_distinct_symbols():
     w = Text.from_str("abc")
-    assert [t.display() for t in lex_parse(w).phrase_texts(w)] == ["a", "b", "c"]
+    assert [t.display() for t in phrase_texts(lex_parse(w), w)] == ["a", "b", "c"]
 
 
 def test_reversed_fibonacci_with_marker():
@@ -30,7 +30,7 @@ def test_reversed_fibonacci_with_marker():
     assert len(w) == 35
     p = lex_parse(w)
     assert [length for _, length, _ in phrase_triples(p)] == [1, 1, 6, 13, 13, 1]
-    texts = p.phrase_texts(w)
+    texts = phrase_texts(p, w)
     assert texts[2] == central_word(6)
     assert texts[3] == reverse(fibonacci_word(7))
     assert texts[4] == reverse(fibonacci_word(7))

@@ -33,6 +33,7 @@ from oracles import (
     definition_lz_end_greedy,
     exhaustive_lz_end_size,
     left_source_optimal_size,
+    phrase_texts,
     phrase_triples,
     random_symbols,
 )
@@ -41,7 +42,7 @@ nonempty_texts = st.lists(st.integers(0, 3), min_size=1, max_size=40).map(lambda
 
 
 def phrase_strings(parsing, w):
-    return [t.display() for t in parsing.phrase_texts(w)]
+    return [t.display() for t in phrase_texts(parsing, w)]
 
 
 def test_worked_example():
@@ -575,7 +576,7 @@ def test_compact_parsing_matches_explicit_phrases():
             assert p == q and hash(p) == hash(q)
             assert p != Parsing(p.bounds, p.sources, "other")
             assert len(p) == len(ref)
-            assert p.phrase_texts(w) == [w[i - 1:i - 1 + length] for i, length, _ in ref]
+            assert phrase_texts(p, w) == [w[i - 1:i - 1 + length] for i, length, _ in ref]
             assert phrase_triples(p) == ref == phrase_triples(q)
     assert searched > 20
 

@@ -11,7 +11,7 @@ from revsense.families import fibonacci_word
 from revsense.lexparse import lex_parse
 from revsense.lz import lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
 from revsense.measures import right_extension_count, substring_complexity
-from revsense.suffixes import _doubling_ranks, build_suffix_context, cyclic_rotation_order
+from revsense.suffixes import _dense_ranks, _doubling_rounds, build_suffix_context, cyclic_rotation_order
 from revsense.text import Text, lyndon_starts
 
 from oracles import (
@@ -103,19 +103,61 @@ def test_differential_bulk():
         assert tuple(cyclic_rotation_order(w)) == naive_cyclic_rotation_order(w), w
 
 
-@pytest.mark.parametrize("bits", [16, 17, 31, 32, 40])
+@pytest.mark.parametrize("bits", [16, 17, 31, 32, 40, 58, 62])
 def test_kernel_with_wide_ranks(bits):
     """Ranks `bits` wide: two symbols still share one int64 key up to 31
-    bits, and from 32 bits on nothing is packed.  The order must equal the
-    rotation oracle on the same symbols."""
+    bits, and from 32 bits on nothing is packed.  From 58 bits on a key
+    leaves no room for a position at n = 64, so the first sort is an
+    argsort.  The order must equal the rotation oracle on the same
+    symbols."""
     rng = random.Random(bits)
     top = (1 << bits) - 1
     for n in (1, 2, 3, 5, 17, 64):
         s = tuple(rng.choice((0, 1, top >> 1, top - 1, top)) for _ in range(n))
         succ = np.roll(np.arange(n), -1)
-        rank = _doubling_ranks(np.asarray(s, dtype=np.int64), succ, 2 * n)
-        order = tuple(np.argsort(rank).tolist())
-        assert order == naive_cyclic_rotation_order(Text(s)), s
+        *_, order = _doubling_rounds(np.asarray(s, dtype=np.int64), succ, 2 * n)
+        assert tuple(order.tolist()) == naive_cyclic_rotation_order(Text(s)), s
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1000])
+def test_dense_ranks_by_value_sort_and_by_argsort(n):
+    """Keys 1 to 62 bits wide with many ties: the ranks and the group count
+    are numpy's unique inverse.  Where the largest key leaves room for a
+    position, the order is the value sort's, equal keys by position;
+    otherwise it is some order of the positions by key."""
+    rng = np.random.default_rng(n)
+    for bits in range(1, 63):
+        pool = rng.integers(0, 1 << bits, size=max(1, n // 8), dtype=np.int64)
+        pool[0] = (1 << bits) - 1
+        key = rng.choice(pool, size=n)
+        rank, groups, order = _dense_ranks(key)
+        values, inverse = np.unique(key, return_inverse=True)
+        assert rank.dtype == np.int32 and order.dtype == np.int64
+        assert groups == len(values) and rank.tolist() == inverse.ravel().tolist()
+        if int(key.max()).bit_length() + (n - 1).bit_length() <= 63:
+            assert order.tolist() == np.lexsort((np.arange(n), key)).tolist()
+        else:
+            assert sorted(order.tolist()) == list(range(n))
+            assert np.all(key[order][1:] >= key[order][:-1])
+
+
+def test_one_cycle_is_read_by_shifting():
+    """On one cycle the kernel reads the key 2^j positions on by shifting;
+    it yields the same ids in every round, and the same order, as the
+    explicit successor permutation of that cycle."""
+    rng = random.Random(106)
+    for _ in range(200):
+        n = rng.randint(1, 300)
+        sigma = rng.choice((1, 2, 3, 4, 50))
+        period = rng.randint(1, n)
+        block = [rng.randrange(sigma) for _ in range(period)]
+        rank = np.asarray((block * (n // period + 1))[:n], dtype=np.int32)
+        limit = rng.choice((n, n + 1, 2 * n))
+        shifted = list(_doubling_rounds(rank, None, limit))
+        permuted = list(_doubling_rounds(rank, np.roll(np.arange(n), -1), limit))
+        assert len(shifted) == len(permuted)
+        for a, b in zip(shifted, permuted):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_alphabet_of_65537_symbols():

@@ -196,6 +196,14 @@ def test_text_validation():
     assert Text((0, 1), {0: "x", 1: "y"}) == Text((0, 1))
 
 
+@pytest.mark.parametrize("symbols", [("a", "b"), (1, "a"), ("a",), (None, 0)])
+@pytest.mark.parametrize("names", [None, {}])
+def test_symbols_that_do_not_compare_with_0_are_refused(symbols, names):
+    # every refusal of a text is a ValueError, this one raised at construction
+    with pytest.raises(ValueError, match="^symbols must be integers$"):
+        Text(symbols, names)
+
+
 @pytest.mark.parametrize("symbols, names", [
     ((0, 97), {0: "a"}),            # a table name repeats a present default name
     ((1, 200), {1: "<200>"}),
