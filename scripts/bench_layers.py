@@ -12,6 +12,8 @@ the Thue-Morse prefix of 2^16 symbols.  Per case it records the best of
     rotation_order   cyclic_rotation_order(w), the order r reads
     lyndon_order     cyclic_rotation_order(w, lyndon_starts(w)), the order
                      of the Lyndon factors' rotations that r_b reads
+    r                bwt(w), its rotation order and run count
+    r_b              bbwt(w), its Lyndon factors, their order and run count
     link_pass        links = lz._SuffixMatcher(ctx), the links z_no reads
     z                lz_parse(w, ctx) on the plain context, as a report
                      without z_no runs it
@@ -24,8 +26,11 @@ the Thue-Morse prefix of 2^16 symbols.  Per case it records the best of
     delta            substring_complexity(w, ctx)
     r_dollar         bwt_sentinel(w, ctx)
 
-the values z, z_no, z_e, v, e and r_dollar, and context_mb, the MB that
-one built context holds (tracemalloc, w's dense ranks already derived).
+the values z, z_no, z_e, v, e, r_dollar, r and r_b, and context_mb, the
+MB that one built context holds (tracemalloc, w's dense ranks already
+derived).  Its sorts block counts the doubling kernel's sorts (calls of
+suffixes._dense_ranks) in one suffix_context, rotation_order and
+lyndon_order call.
 
 The zend block times z_end's exact search, lz_end_optimal(w, ctx=ctx,
 greedy=..., base=...) with the context and both greedy parses given, as
@@ -61,8 +66,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from revsense import lz  # noqa: E402
-from revsense.bwt import bwt_sentinel  # noqa: E402
+from revsense import lz, suffixes  # noqa: E402
+from revsense.bwt import bbwt, bwt, bwt_sentinel  # noqa: E402
 from revsense.families import FamilySpec, generate  # noqa: E402
 from revsense.lexparse import lex_parse  # noqa: E402
 from revsense.measures import right_extension_count, substring_complexity  # noqa: E402
@@ -120,14 +125,39 @@ def _best(repeat, fn):
     return best, out
 
 
+def _sorts(fn):
+    """The doubling kernel's sorts, calls of suffixes._dense_ranks, in one fn() call."""
+    calls = 0
+    dense_ranks = suffixes._dense_ranks
+
+    def counted(key):
+        nonlocal calls
+        calls += 1
+        return dense_ranks(key)
+
+    suffixes._dense_ranks = counted
+    try:
+        fn()
+    finally:
+        suffixes._dense_ranks = dense_ranks
+    return calls
+
+
 def measure(w, repeat):
     ctx = build_suffix_context(w)
     rev_ctx = build_suffix_context(reverse(w))
     seconds, counts = {}, {}
-    seconds["suffix_context"], _ = _best(repeat, lambda: build_suffix_context(w))
-    seconds["rotation_order"], _ = _best(repeat, lambda: cyclic_rotation_order(w))
     starts = lyndon_starts(w)
-    seconds["lyndon_order"], _ = _best(repeat, lambda: cyclic_rotation_order(w, starts))
+    layers = {"suffix_context": lambda: build_suffix_context(w),
+              "rotation_order": lambda: cyclic_rotation_order(w),
+              "lyndon_order": lambda: cyclic_rotation_order(w, starts)}
+    sorts = {name: _sorts(fn) for name, fn in layers.items()}
+    for name, fn in layers.items():
+        seconds[name], _ = _best(repeat, fn)
+    seconds["r"], t = _best(repeat, lambda: bwt(w))
+    counts["r"] = t.run_count
+    seconds["r_b"], t = _best(repeat, lambda: bbwt(w))
+    counts["r_b"] = t.run_count
     seconds["link_pass"], links = _best(repeat, lambda: lz._SuffixMatcher(ctx))
     seconds["z"], p = _best(repeat, lambda: lz.lz_parse(w, ctx))
     counts["z"] = len(p)
@@ -142,7 +172,8 @@ def measure(w, repeat):
     seconds["delta"], _ = _best(repeat, lambda: substring_complexity(w, ctx))
     seconds["r_dollar"], t = _best(repeat, lambda: bwt_sentinel(w, ctx))
     counts["r_dollar"] = t.run_count
-    return {"n": len(w), "counts": counts, "seconds": seconds, "context_mb": _context_mb(w)}
+    return {"n": len(w), "counts": counts, "seconds": seconds, "sorts": sorts,
+            "context_mb": _context_mb(w)}
 
 
 def measure_zend(w, repeat):

@@ -16,7 +16,6 @@ from .families import (
     central_word,
     fibonacci_word,
     generate,
-    predict,
     predict_transform,
     predictions,
 )
@@ -26,7 +25,6 @@ from .harness import (
     SweepRow,
     VerifyRow,
     evaluate,
-    rows_from_csv,
     rows_to_csv,
     sensitivity_report,
     sweep,

@@ -278,11 +278,6 @@ VERIFY_GRIDS: dict[str, tuple[Sequence[int | None], Sequence[int | None]]] = {
 }
 
 
-def predict(spec: FamilySpec, measure: str) -> Prediction | None:
-    """Closed-form value of a measure on this family member, if known."""
-    return next((p for p in predictions(spec) if p.measure == measure), None)
-
-
 def predictions(spec: FamilySpec) -> tuple[Prediction, ...]:
     """Every closed-form measure value known for this family member, in
     measure id order; a family without a parameter is gated as param 0."""

@@ -202,13 +202,6 @@ def _fmt_value(v: object) -> str:
     return str(v)
 
 
-def _parse_value(s: str) -> object:
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return int(s)
-
-
 def rows_to_csv(rows: Iterable[SweepRow]) -> str:
     lines = [CSV_HEADER]
     for r in rows:
@@ -227,22 +220,6 @@ def rows_to_csv(rows: Iterable[SweepRow]) -> str:
             "true" if r.exact else "false",
         ]))
     return "\n".join(lines) + "\n"
-
-
-def rows_from_csv(text: str) -> list[SweepRow]:
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("unrecognized CSV header")
-    rows = []
-    for ln in lines[1:]:
-        f, param, n, measure, vf, vr, add, mnum, mden, exact = ln.split(",")
-        mult = Fraction(int(mnum), int(mden)) if mnum else None
-        rows.append(SweepRow(
-            f, int(param) if param else None, int(n), measure,
-            _parse_value(vf), _parse_value(vr), _parse_value(add), mult,
-            exact == "true",
-        ))
-    return rows
 
 
 @dataclass(frozen=True)

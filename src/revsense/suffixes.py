@@ -5,13 +5,22 @@ suffix order of w is the rotation order of w$.  The kernel packs two ids
 into one int64 key by shifts and sorts only to turn the keys back into
 dense ids, as narrow as the number of distinct reads allows, and it
 outputs the last sort's order.  On one cycle (w$, or w alone) it reads
-the key 2^j positions on by shifting the key.  The LCP array is read off the same kernel's rounds, as Manber & Myers (SIAM J.
-Comput. 1993) do: each round's ids tell which 2^j-symbol prefixes are
-equal, so a binary lift over them gives every adjacent LCP at once, with
-no walk over the text.  Ranks are int32, so a text holds fewer than 2^31
-symbols.  Both orders start from the text's cached `Text.dense_ranks`;
-`cyclic_rotation_order` returns the int64 order, while a SuffixContext
-keeps int32 arrays as `array('i')`, which numpy reads in place.
+the key 2^j positions on by shifting the key.  It stops after a sort
+once every read is distinct; once the sort finds as many groups as its
+phase began with, as groups only split, so no doubling split one and
+none ever will; or once it read n symbols, n the total length of the
+cycles.  Two rotations of one cycle that agree on its length are equal,
+and rotations of two cycles, whose lengths sum to at most n, that agree
+on n symbols agree forever (Fine and Wilf).  No caller bounds the reads.
+
+The LCP array is read off the same kernel's rounds, as Manber & Myers
+(SIAM J. Comput. 1993) do: each round's ids tell which 2^j-symbol
+prefixes are equal, so a binary lift over them gives every adjacent LCP
+at once, with no walk over the text.  Ranks are int32, so a text holds
+fewer than 2^31 symbols.  Both orders start from the text's cached
+`Text.dense_ranks`; `cyclic_rotation_order` returns the int64 order,
+while a SuffixContext keeps int32 arrays as `array('i')`, which numpy
+reads in place.
 
 Positions are 0-based throughout: sa[i] is the start of the (i+1)-th
 smallest suffix and isa[p] the rank of the suffix at p, both read straight
@@ -84,7 +93,7 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _doubling_rounds(rank: np.ndarray, succ: np.ndarray | None, limit: int) -> Iterator[np.ndarray]:
+def _doubling_rounds(rank: np.ndarray, succ: np.ndarray | None) -> Iterator[np.ndarray]:
     """Prefix doubling over the symbol ranks `rank` along `succ`, a
     successor permutation, or None for one cycle (i steps to i + 1, the
     last to 0), which is read by shifting the key instead.
@@ -93,32 +102,33 @@ def _doubling_rounds(rank: np.ndarray, succ: np.ndarray | None, limit: int) -> I
     positions get equal ids exactly when they read the same 2^j symbols.
     Keys of at most 31 bits, which include every yielded one, are int32.
     Yields last the int64 order of the positions by their reads, equal
-    reads by position, once the reads are distinct or `limit` symbols were
-    compared.  A round packs two keys into one by shifts, with no sort,
-    while they fit in 62 bits; then a sort turns the keys into G dense ids,
-    bit_length(G - 1) bits wide, and the packing goes on at that width.  So
-    a sort buys three doublings or more while G <= 2^7, two while G <= 2^15
-    and one otherwise, as G <= n < 2^31; Manber & Myers (SIAM J. Comput.
-    1993) sort in every round.
+    reads by position.  A round packs two keys into one by shifts, with no
+    sort, while they fit in 62 bits and fewer than n symbols were read;
+    then a sort turns the keys into G dense ids, bit_length(G - 1) bits
+    wide, and the packing goes on at that width.  So a sort buys three
+    doublings or more while G <= 2^7, two while G <= 2^15 and one
+    otherwise, as G <= n < 2^31; Manber & Myers (SIAM J. Comput. 1993) sort
+    in every round.  It stops after the sort that makes every read
+    distinct, finds no more groups than its phase began with, or ends a
+    read of n symbols; the module docstring says why that is sound.
     """
     n = len(rank)
     groups, k = int(rank.max()) + 1, 1
     while True:
-        key, width = rank, max(1, (groups - 1).bit_length())
-        while k < limit and 2 * width <= 62:
+        key, width, before = rank, max(1, (groups - 1).bit_length()), groups
+        while k < n and 2 * width <= 62:
             yield key
             packed = key.astype(np.int64 if 2 * width > 31 else key.dtype)
             packed <<= width
             if succ is None:
-                step = k % n
-                packed[:n - step] |= key[step:]
-                packed[n - step:] |= key[:step]
+                packed[:n - k] |= key[k:]
+                packed[n - k:] |= key[:k]
             else:
                 packed |= key[succ]
                 succ = succ[succ]
             key, k, width = packed, 2 * k, 2 * width
         rank, groups, order = _dense_ranks(key)
-        if groups == n or k >= limit:
+        if groups in (n, before) or k >= n:
             break
     if groups < n:
         order = np.argsort(rank, kind="stable")
@@ -140,7 +150,7 @@ def _suffix_sort(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(ranks)
     # the cycle w$: `$` is rank 0 at position n, which wraps to 0
     cycle = np.append(ranks + 1, np.int32(0))
-    levels = list(_doubling_rounds(cycle, None, n + 1))
+    levels = list(_doubling_rounds(cycle, None))
     sa = levels.pop()[1:].astype(np.int32)
     a, b = sa[:-1].astype(np.int64), sa[1:].astype(np.int64)
     while levels:
@@ -178,9 +188,8 @@ def cyclic_rotation_order(w: Text, starts: Sequence[int] = (0,)) -> np.ndarray:
     (default: w itself, one cycle).  Each position is ranked by
     prefix doubling over the successor permutation that steps to the next
     position and wraps from a cycle's last position to its first; no
-    sentinel is ever appended.  Rotations x, y that agree on |x|+|y|
-    symbols agree forever (Fine and Wilf), so 2*(longest cycle) symbols
-    decide the order.  Equal rotations are tie-broken by start position.
+    sentinel is ever appended.  The kernel stops once its reads decide the
+    order.  Equal rotations are tie-broken by start position.
     """
     if len(w) == 0:
         raise ValueError("the empty text has no rotations")
@@ -188,12 +197,10 @@ def cyclic_rotation_order(w: Text, starts: Sequence[int] = (0,)) -> np.ndarray:
     if (len(starts) == 0 or starts[0] != 0 or starts[-1] >= n
             or not all(map(operator.lt, starts, starts[1:]))):
         raise ValueError(f"cycle starts must begin at 0 and increase strictly within [0, {n})")
-    ends = (*starts[1:], n)
     succ = None
     if len(starts) > 1:
         succ = np.arange(1, n + 1, dtype=np.int64)
-        succ[np.asarray(ends, dtype=np.int64) - 1] = starts
-    longest = max(map(operator.sub, ends, starts))
-    for order in _doubling_rounds(w.dense_ranks, succ, 2 * longest):
+        succ[np.asarray((*starts[1:], n), dtype=np.int64) - 1] = starts
+    for order in _doubling_rounds(w.dense_ranks, succ):
         pass
     return order

@@ -14,8 +14,10 @@ and `phrase_texts` slices its phrases out of the text.
 The helpers at the end are test-only API over the library: `concat`,
 `is_lyndon` (from `text.lyndon_starts`), KMP `occurrences` (1-based, as
 the paper reports positions), the per-length counts that `delta` maximizes
-(`distinct_substring_counts`), and the five central-word properties of
-the Fibonacci words (`fib_property_check`).
+(`distinct_substring_counts`), the five central-word properties of
+the Fibonacci words (`fib_property_check`), one family member's closed
+form for one measure (`predict`), and the sweep rows that a CSV of
+`harness.rows_to_csv` holds (`rows_from_csv`).
 
 `MEASURE_LATTICE` lists the inequalities between measures that every text
 satisfies, each with where it comes from.
@@ -30,7 +32,8 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 from revsense import measures
-from revsense.families import central_word, fibonacci_word
+from revsense.families import FamilySpec, Prediction, central_word, fibonacci_word, predictions
+from revsense.harness import CSV_HEADER, SweepRow
 from revsense.suffixes import SuffixContext
 from revsense.text import Text, lyndon_starts, reverse
 
@@ -388,6 +391,34 @@ def concat(*parts: Text) -> Text:
             names.update(p.names)
         symbols.extend(p.symbols)
     return Text(tuple(symbols), names or None)
+
+
+def predict(spec: FamilySpec, measure: str) -> Prediction | None:
+    """Closed-form value of a measure on this family member, if known."""
+    return next((p for p in predictions(spec) if p.measure == measure), None)
+
+
+def _parse_value(s: str) -> object:
+    if "/" in s:
+        num, den = s.split("/")
+        return Fraction(int(num), int(den))
+    return int(s)
+
+
+def rows_from_csv(text: str) -> list[SweepRow]:
+    lines = [ln for ln in text.splitlines() if ln]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError("unrecognized CSV header")
+    rows = []
+    for ln in lines[1:]:
+        f, param, n, measure, vf, vr, add, mnum, mden, exact = ln.split(",")
+        mult = Fraction(int(mnum), int(mden)) if mnum else None
+        rows.append(SweepRow(
+            f, int(param) if param else None, int(n), measure,
+            _parse_value(vf), _parse_value(vr), _parse_value(add), mult,
+            exact == "true",
+        ))
+    return rows
 
 
 def is_lyndon(w: Text) -> bool:

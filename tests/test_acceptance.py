@@ -26,7 +26,7 @@ from revsense.families import (
     generate,
     predict_transform,
 )
-from revsense.harness import rows_from_csv, rows_to_csv, sensitivity_report, sweep
+from revsense.harness import rows_to_csv, sensitivity_report, sweep
 from revsense.lexparse import lex_parse
 from revsense.lz import lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
 from revsense.measures import right_extension_count, substring_complexity
@@ -46,6 +46,7 @@ from oracles import (
     phrase_texts,
     phrase_triples,
     random_symbols,
+    rows_from_csv,
 )
 
 

@@ -133,7 +133,7 @@ def test_sweep_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 1 + 10 * 3 * 2
     assert lines[0].startswith("family,param,n,measure")
-    from revsense.harness import rows_from_csv
+    from oracles import rows_from_csv
     rows = rows_from_csv(path.read_text())
     assert {r.family for r in rows} == {"u_k", "u_k_rev"}
 

@@ -11,7 +11,6 @@ from revsense.families import (
     central_word,
     fibonacci_word,
     generate,
-    predict,
     predict_transform,
     predictions,
     transform_predictions,
@@ -19,7 +18,7 @@ from revsense.families import (
 from revsense.lz import lz_parse
 from revsense.text import reverse
 
-from oracles import concat, fib_property_check, occurrences
+from oracles import concat, fib_property_check, occurrences, predict
 
 
 def test_generate_examples():

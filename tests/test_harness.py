@@ -11,7 +11,6 @@ from revsense.harness import (
     MEASURE_IDS,
     MEASURES,
     evaluate,
-    rows_from_csv,
     rows_to_csv,
     sensitivity_report,
     sweep,
@@ -19,7 +18,7 @@ from revsense.harness import (
 )
 from revsense.text import Text, reverse
 
-from oracles import random_symbols
+from oracles import random_symbols, rows_from_csv
 
 
 def test_report_block_family():
@@ -159,9 +158,9 @@ def test_r_dollar_reads_the_shared_suffix_sort(monkeypatch):
     runs = []
     rounds = suffixes._doubling_rounds
 
-    def counted(rank, succ, limit):
+    def counted(rank, succ):
         runs.append(len(rank))
-        return rounds(rank, succ, limit)
+        return rounds(rank, succ)
 
     monkeypatch.setattr(suffixes, "_doubling_rounds", counted)
     for w in (generate(FamilySpec("fib", 12)), Text.from_str("abracadabra")):
@@ -179,9 +178,9 @@ def test_z_e_reads_the_reversal_s_suffix_sort(monkeypatch):
     runs = []
     rounds = suffixes._doubling_rounds
 
-    def counted(rank, succ, limit):
+    def counted(rank, succ):
         runs.append(len(rank))
-        return rounds(rank, succ, limit)
+        return rounds(rank, succ)
 
     monkeypatch.setattr(suffixes, "_doubling_rounds", counted)
     for w in (generate(FamilySpec("fib", 12)), Text.from_str("abracadabra")):

@@ -115,7 +115,7 @@ def test_kernel_with_wide_ranks(bits):
     for n in (1, 2, 3, 5, 17, 64):
         s = tuple(rng.choice((0, 1, top >> 1, top - 1, top)) for _ in range(n))
         succ = np.roll(np.arange(n), -1)
-        *_, order = _doubling_rounds(np.asarray(s, dtype=np.int64), succ, 2 * n)
+        *_, order = _doubling_rounds(np.asarray(s, dtype=np.int64), succ)
         assert tuple(order.tolist()) == naive_cyclic_rotation_order(Text(s)), s
 
 
@@ -152,9 +152,8 @@ def test_one_cycle_is_read_by_shifting():
         period = rng.randint(1, n)
         block = [rng.randrange(sigma) for _ in range(period)]
         rank = np.asarray((block * (n // period + 1))[:n], dtype=np.int32)
-        limit = rng.choice((n, n + 1, 2 * n))
-        shifted = list(_doubling_rounds(rank, None, limit))
-        permuted = list(_doubling_rounds(rank, np.roll(np.arange(n), -1), limit))
+        shifted = list(_doubling_rounds(rank, None))
+        permuted = list(_doubling_rounds(rank, np.roll(np.arange(n), -1)))
         assert len(shifted) == len(permuted)
         for a, b in zip(shifted, permuted):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -176,10 +175,21 @@ def test_alphabet_of_65537_symbols():
     assert tuple(cyclic_rotation_order(w)) == tuple(x for i in by_symbol for x in (i, i + m))
 
 
+def _random_lyndon(rng, most, sigma):
+    """The longest Lyndon factor of a random text of 1 to `most` symbols."""
+    s = tuple(rng.randrange(sigma) for _ in range(rng.randint(1, most)))
+    bounds = lyndon_starts(Text(s)) + (len(s),)
+    a, b = max(zip(bounds, bounds[1:]), key=lambda ab: ab[1] - ab[0])
+    return s[a:b]
+
+
 def test_rotation_order_of_many_cycles():
-    """Every symbol its own cycle (starts 0..n-1), and Lyndon factor cycles
-    with one long factor; the orders match the oracle and, read as a
-    bijective BWT, the brute-force one."""
+    """Every symbol its own cycle (starts 0..n-1); Lyndon factor cycles
+    with one long factor; L^m M^j for Lyndon words L > M, whose equal
+    factors tie forever, so the kernel stops when a sort splits no group;
+    and one-cycle powers u^k.  The orders match the oracle and, read as a
+    bijective BWT, the brute-force one (on texts of at most 200 symbols,
+    as it is cubic)."""
     rng = random.Random(101)
     for _ in range(200):
         sigma = rng.choice((1, 2, 3, 5))
@@ -195,6 +205,24 @@ def test_rotation_order_of_many_cycles():
         assert max(b - a for a, b in zip(starts, starts[1:] + (len(s),))) == n
         assert tuple(cyclic_rotation_order(w, starts)) == naive_cyclic_rotation_order(w, starts)
         assert bbwt(w).output.symbols == brute_bbwt(s)
+    for _ in range(40):
+        sigma = rng.choice((2, 3, 4))
+        low, high = sorted((_random_lyndon(rng, 300, sigma), _random_lyndon(rng, 300, sigma)))
+        if low == high:
+            continue
+        for m, j in ((1, 1), (2, 0), (2, 3), (4, 1)):
+            s = high * m + low * j
+            w = Text(s)
+            starts = lyndon_starts(w)
+            assert len(starts) == m + j
+            assert tuple(cyclic_rotation_order(w, starts)) == naive_cyclic_rotation_order(w, starts)
+            assert tuple(cyclic_rotation_order(w)) == naive_cyclic_rotation_order(w)
+            if len(s) <= 200:
+                assert bbwt(w).output.symbols == brute_bbwt(s)
+    for _ in range(100):
+        u = tuple(rng.randrange(rng.choice((1, 2, 4))) for _ in range(rng.randint(1, 40)))
+        w = Text(u * rng.randint(1, 12))
+        assert tuple(cyclic_rotation_order(w)) == naive_cyclic_rotation_order(w)
 
 
 def test_lcp_direct_recompute_longer_strings():
@@ -330,7 +358,13 @@ def test_sort_count_on_repetitive_text(monkeypatch):
     """A sort re-packs the ids at their width, and shifts alone double
     while two keys fit in 62 bits: on F_20 (n = 6765) one sort per
     doubling took 10 sorts for the suffix order and 9 for the rotation
-    order, on unary n = 10^4 10 and 12."""
+    order, on unary n = 10^4 10 and 12.  The kernel stops when a sort
+    splits no group of its phase: the rotations of unary text all tie
+    after one sort (3 while the reads ran to 2n symbols).  So do the equal
+    rotations of a square or cube of a Lyndon word L of 5,001 symbols,
+    whose reads split no more after about |L| symbols, in the rotation
+    order and in the order of its Lyndon factors, all equal to L (7 and 6
+    sorts while the reads ran to twice the longest cycle)."""
     sorts = []
     dense_ranks = suffixes._dense_ranks
 
@@ -339,13 +373,24 @@ def test_sort_count_on_repetitive_text(monkeypatch):
         return dense_ranks(key)
 
     monkeypatch.setattr(suffixes, "_dense_ranks", counted)
-    for w, most_suffix, most_rotation in ((fibonacci_word(20), 5, 5), (Text((0,) * 10**4), 5, 4)):
+    for w, most_suffix, most_rotation in ((fibonacci_word(20), 5, 5), (Text((0,) * 10**4), 5, 1)):
         sorts.clear()
         build_suffix_context(w)
         assert len(sorts) <= most_suffix, sorts
         sorts.clear()
         cyclic_rotation_order(w)
         assert len(sorts) <= most_rotation, sorts
+    rng = random.Random(107)
+    # a unique smallest first symbol makes the word Lyndon
+    lyndon = (0,) + tuple(rng.randrange(1, 4) for _ in range(5000))
+    for power in (2, 3):
+        w = Text(lyndon * power)
+        starts = lyndon_starts(w)
+        assert starts == tuple(range(0, len(w), len(lyndon)))
+        for cycles in ((0,), starts):
+            sorts.clear()
+            cyclic_rotation_order(w, cycles)
+            assert len(sorts) <= 2, sorts
 
 
 def test_rotation_order_examples():
