@@ -4,9 +4,10 @@ revsense on a fixed ladder of texts and write BENCH_<tag>.json.
 
 The cases are seeded random texts over 4 symbols at n = 10^3, 10^4, 10^5
 and 10^6 and over 1,000 symbols at n = 10^5, the unary text of 10^5
-symbols, the Fibonacci words F_26 and F_30, the staircase word T_p 40 and
-the Thue-Morse prefix of 2^16 symbols.  Per case it records the best of
---repeat wall times, in seconds, of:
+symbols, the periodic text (ab)^(5*10^4), the Fibonacci words F_26 and
+F_30, the staircase word T_p 40 and the Thue-Morse prefix of 2^16
+symbols.  Per case it records the best of --repeat wall times, in
+seconds, of:
 
     suffix_context   build_suffix_context(w)
     rotation_order   cyclic_rotation_order(w), the order r reads
@@ -91,10 +92,12 @@ def cases(tiny):
     if tiny:
         return [*((f"random4_{n}", _random(4, n)) for n in (10**2, 10**3)),
                 ("random1000_1000", _random(1000, 10**3)), ("unary_1000", Text((0,) * 10**3)),
+                ("ab_500", Text((0, 1) * 500)),
                 ("F_14", generate(FamilySpec("fib", 14))), ("T_p_4", generate(FamilySpec("T_p", 4))),
                 ("thue_morse_512", _thue_morse(2**9))]
     return [*((f"random4_{n}", _random(4, n)) for n in (10**3, 10**4, 10**5, 10**6)),
             ("random1000_100000", _random(1000, 10**5)), ("unary_100000", Text((0,) * 10**5)),
+            ("ab_50000", Text((0, 1) * (5 * 10**4))),
             ("F_26", generate(FamilySpec("fib", 26))), ("F_30", generate(FamilySpec("fib", 30))),
             ("T_p_40", generate(FamilySpec("T_p", 40))),
             ("thue_morse_65536", _thue_morse(2**16))]

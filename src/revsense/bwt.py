@@ -24,7 +24,8 @@ import numpy as np
 
 from .suffixes import SuffixContext, context_for, cyclic_rotation_order
 from .text import Text, _derived, lyndon_starts
-from .textio import SENTINEL_NAME
+
+SENTINEL_NAME = "$"
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,10 +85,8 @@ def bwt_sentinel(w: Text, ctx: SuffixContext | None = None) -> TransformResult:
     """BWT of w with an appended minimal sentinel.
 
     The output alphabet is shifted: every input rank r becomes r+1, still
-    displayed as r was, and the sentinel is rank 0, displayed as "$".  A
-    name table that names a present symbol "$" is refused; an unnamed rank
-    whose default name is "$" (36) is displayed as the first of "<36>",
-    "<<36>>", ... that no other symbol of w shows.
+    displayed as r was, and the sentinel is rank 0, displayed as the first
+    of "$", "<$>", "<<$>>", ... that no symbol of w shows.
 
     The suffix sort puts a shorter suffix before a longer one it prefixes,
     so the rotation order of w$ is the `$` rotation, then w's suffix
@@ -98,13 +97,9 @@ def bwt_sentinel(w: Text, ctx: SuffixContext | None = None) -> TransformResult:
     """
     if len(w) == 0:
         raise ValueError("BWT requires a non-empty text")
-    named = w.names or {}
-    if SENTINEL_NAME in map(named.get, w.alphabet):
-        raise ValueError("input already contains the sentinel symbol")
     names = {r + 1: w.name_of(r) for r in w.alphabet}
-    if names.get(37) == SENTINEL_NAME:      # an unnamed rank 36 prints as "$"
-        names[37] = next(s for k in count(1) if (s := f"{'<' * k}36{'>' * k}") not in names.values())
-    names[0] = SENTINEL_NAME
+    names[0] = next(s for k in count()
+                    if (s := f"{'<' * k}{SENTINEL_NAME}{'>' * k}") not in names.values())
     order = np.append(len(w), np.frombuffer(context_for(w, ctx).sa, np.int32))
     ranks = np.append(w.dense_ranks + 1, np.int32(0))
     ranks.flags.writeable = False

@@ -7,9 +7,9 @@ a_s, interleaved marker symbols, ...) print readably.  All operations
 here are pure functions on immutable values.
 
 Lyndon factor starts are 0-based, like indexing and slicing a Text.
-A Text derives its alphabet and the int32 dense ranks of its symbols,
-which the numpy kernels read, once, on first use; its reversal reads
-them backwards.
+A Text derives its alphabet when it is built, which checks every symbol,
+and the int32 dense ranks of its symbols, which the numpy kernels read,
+once, on first use; its reversal reads them backwards.
 """
 
 from __future__ import annotations
@@ -30,18 +30,12 @@ class Text:
     names: dict[int, str] | None = None
 
     def __post_init__(self) -> None:
-        # a name table is checked against every rank it may show: the
-        # present ranks, whose default names it must not repeat, and its keys;
-        # a text made by _derived reads the ranks off its known alphabet
-        if "alphabet" in vars(self):
-            ranks = self.alphabet
-        else:
-            ranks = self.symbols if self.names is None else set(self.symbols)
-        try:
-            if ranks and min(ranks) < 0:
-                raise ValueError("symbol ranks must be non-negative")
-        except TypeError:
-            raise ValueError("symbols must be integers") from None
+        # every symbol is checked here, through the alphabet; a name table is
+        # checked against every rank it may show: the present ranks, whose
+        # default names it must not repeat, and its keys
+        ranks = self.alphabet
+        if ranks and ranks[0] < 0:
+            raise ValueError("symbol ranks must be non-negative")
         if self.names is not None:
             shown = set(ranks).union(self.names)
             if len({self.name_of(r) for r in shown}) != len(shown):
@@ -65,8 +59,9 @@ class Text:
 
     @functools.cached_property
     def alphabet(self) -> tuple[int, ...]:
-        """The distinct symbols in increasing order.  A symbol that is not an
-        integer is refused here, where each distinct one is read once."""
+        """The distinct symbols in increasing order, derived when the text is
+        built.  A symbol that is not an integer is refused here, where each
+        distinct one is read once."""
         try:
             return tuple(map(operator.index, sorted(set(self.symbols))))
         except TypeError:
@@ -121,8 +116,8 @@ def _dense_symbol_ranks(symbols: tuple[int, ...], alphabet: tuple[int, ...]) -> 
 
 def _derived(symbols: tuple[int, ...], names: dict[int, str] | None, **known) -> Text:
     """Text(symbols, names), given what is already known of its symbols:
-    its `alphabet` and `dense_ranks` are kept, not derived again, and its
-    checks read the alphabet instead of every symbol."""
+    its `alphabet` and `dense_ranks` are kept, not derived again, so its
+    checks read the known alphabet and no symbol."""
     t = Text.__new__(Text)
     vars(t).update(known)
     t.__init__(symbols, names)

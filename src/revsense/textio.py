@@ -3,11 +3,15 @@
 Two formats:
 
 * ascii  -- one printable ASCII character ("!" to "~") per symbol on a
-  single line; the byte order is the symbol order.  "$" is forbidden
-  (reserved for the sentinel of the end-marked BWT).
+  single line; the byte order is the symbol order.
 * tokens -- line 1 is ``#alphabet name1 name2 ...`` listing display
   names in strictly increasing symbol order, line 2 (the last line) the
   whitespace-separated token sequence.
+
+Input that starts with the tokens header, ``#alphabet`` followed by
+whitespace or the end, reads as tokens and anything else as ascii; so
+the one text whose ascii form is that header, ``#alphabet``, is refused
+in ascii.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import re
 
 from .text import Text
 
-SENTINEL_NAME = "$"
+_TOKENS_HEADER = re.compile(r"#alphabet(\s|$)")
 
 
 class SerializationError(ValueError):
@@ -24,25 +28,25 @@ class SerializationError(ValueError):
 
 
 def to_ascii(w: Text) -> str:
-    names = {r: w.name_of(r) for r in sorted(set(w.symbols))}
+    names = {r: w.name_of(r) for r in w.alphabet}
     for name in names.values():
         if len(name) != 1 or not (32 < ord(name) < 127):
             raise SerializationError(
                 f"symbol {name!r} has no single printable ASCII form; use the tokens format"
             )
-        if name == SENTINEL_NAME:
-            raise SerializationError('"$" is reserved and cannot be serialized')
     if list(names.values()) != sorted(names.values()):
         raise SerializationError(
             "ASCII character order disagrees with the symbol order; use the tokens format"
         )
-    return "".join(map(names.__getitem__, w.symbols))
+    data = "".join(map(names.__getitem__, w.symbols))
+    if _TOKENS_HEADER.match(data):
+        raise SerializationError("the text '#alphabet' would read back as a tokens header; "
+                                 "use the tokens format")
+    return data
 
 
 def from_ascii(data: str) -> Text:
     data = data.rstrip("\n")
-    if SENTINEL_NAME in data:
-        raise SerializationError('"$" is reserved for the sentinel and may not appear in input')
     bad = re.search(r"[^!-~]", data)
     if bad:
         raise SerializationError(
@@ -52,10 +56,7 @@ def from_ascii(data: str) -> Text:
 
 
 def to_tokens(w: Text) -> str:
-    if w.names:
-        ranks = sorted(set(w.names) | set(w.symbols))
-    else:
-        ranks = sorted(set(w.symbols))
+    ranks = sorted(set(w.names).union(w.alphabet)) if w.names else w.alphabet
     names = [w.name_of(r) for r in ranks]
     for name in names:
         if not name:
@@ -69,7 +70,7 @@ def to_tokens(w: Text) -> str:
 
 def from_tokens(data: str) -> Text:
     lines = data.splitlines()
-    if not lines or not re.match(r"#alphabet(\s|$)", lines[0]):
+    if not lines or not _TOKENS_HEADER.match(lines[0]):
         raise SerializationError("tokens input must start with a '#alphabet' line")
     if len(lines) > 2:
         raise SerializationError(
@@ -92,7 +93,7 @@ def from_tokens(data: str) -> Text:
 def load(data: str, fmt: str | None = None) -> Text:
     """Parse either serialization; autodetect from the header when fmt is None."""
     if fmt is None:
-        fmt = "tokens" if data.startswith("#alphabet") else "ascii"
+        fmt = "tokens" if _TOKENS_HEADER.match(data) else "ascii"
     if fmt == "tokens":
         return from_tokens(data)
     if fmt == "ascii":

@@ -259,11 +259,23 @@ def brute_lyndon_starts(s):
     return tuple(starts)
 
 
+def suffix_minimum_starts(s):
+    """Starts of the Lyndon factors of s in quadratic time: the positions
+    whose suffix is smaller than every suffix that starts before them,
+    suffixes compared as tuples."""
+    starts, least = [], None
+    for i in range(len(s)):
+        if least is None or s[i:] < least:
+            starts.append(i)
+            least = s[i:]
+    return tuple(starts)
+
+
 def brute_bbwt(s):
     """Bijective BWT from the definition: split s into its Lyndon factors,
     sort every rotation of every factor by its infinite power, and read
     off the last symbols."""
-    bounds = brute_lyndon_starts(s) + (len(s),)
+    bounds = suffix_minimum_starts(s) + (len(s),)
     factors = [s[a:b] for a, b in zip(bounds, bounds[1:])]
     rotations = [f[k:] + f[:k] for f in factors for k in range(len(f))]
     rotations.sort(key=cmp_to_key(omega_compare))

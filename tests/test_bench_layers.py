@@ -16,7 +16,7 @@ def test_tiny_ladder_writes_every_key(tmp_path):
                         "peak_rss_mb"}
     assert out["repeat"] == 1 and out["cores"] >= 1
     assert set(out["cases"]) == {"random4_100", "random4_1000", "random1000_1000", "unary_1000",
-                                 "F_14", "T_p_4", "thue_morse_512"}
+                                 "ab_500", "F_14", "T_p_4", "thue_morse_512"}
     for row in out["cases"].values():
         assert 0 < row["n"] <= 10**3
         assert set(row["seconds"]) == {"suffix_context", "rotation_order", "lyndon_order", "r",

@@ -67,9 +67,30 @@ def test_sentinel_keeps_the_names_of_unnamed_ranks():
     assert bwt_sentinel(Text((97, 98, 97))).output.display() == "ab$a"
 
 
-def test_sentinel_rejects_sentinel_in_input():
-    with pytest.raises(ValueError):
-        bwt_sentinel(Text((0,), {0: "$"}))
+def test_sentinel_takes_a_free_name():
+    # a symbol of w that shows "$" leaves the sentinel the next free name
+    for w, shown in ((Text((0,), {0: "$"}), "$ <$>"),
+                     (Text((1, 0), {0: "$", 1: "<$>"}), "$ <$> <<$>>")):
+        assert bwt_sentinel(w).output.display() == shown
+        assert evaluate(w, ["r_dollar"]) == evaluate(Text(w.symbols), ["r_dollar"])
+
+
+def test_r_dollar_answers_whatever_the_names_show():
+    # names drawn from the sentinel's candidates, on ranks that include 36,
+    # whose default name is "$"
+    rng = random.Random(33)
+    candidates = ("$", "<$>", "<<$>>", "<36>")
+    checked = 0
+    for _ in range(300):
+        s = tuple(rng.choice((0, 1, 2, 36, 37)) for _ in range(rng.randint(1, 12)))
+        ranks = rng.sample(sorted(set(s)), rng.randint(0, len(set(s))))
+        try:
+            w = Text(s, dict(zip(ranks, rng.sample(candidates, min(len(ranks), 4)))))
+        except ValueError:          # a name repeats the default "$" of an unnamed 36
+            continue
+        assert evaluate(w, ["r_dollar"]) == evaluate(Text(s), ["r_dollar"])
+        checked += 1
+    assert checked >= 200
 
 
 def test_r_dollar_answers_when_an_unnamed_rank_prints_as_the_sentinel():
@@ -78,13 +99,13 @@ def test_r_dollar_answers_when_an_unnamed_rank_prints_as_the_sentinel():
     for s in (tuple(range(40)), tuple(rng.randrange(1000) for _ in range(2000))):
         named = Text(s, {r: f"<{r}>" for r in set(s)})
         assert evaluate(Text(s), ["r_dollar"]) == evaluate(named, ["r_dollar"])
-    assert bwt_sentinel(Text((36, 1))).output.display() == "<1> <36> $"
+    assert bwt_sentinel(Text((36, 1))).output.display() == "<1> $ <$>"
 
 
 def test_r_dollar_answers_when_another_symbol_shows_as_36():
-    # rank 36 prints as "$", and <36> is taken, so it shows as the next free name
-    for w, shown in ((Text((36, 5), {5: "<36>"}), "<36> <<36>> $"),
-                     (Text((36, 5, 7), {5: "<36>", 7: "<<36>>"}), "<<36>> <<<36>>> <36> $")):
+    # rank 36 prints as "$", so the sentinel shows as "<$>"
+    for w, shown in ((Text((36, 5), {5: "<36>"}), "<36> $ <$>"),
+                     (Text((36, 5, 7), {5: "<36>", 7: "<<36>>"}), "<<36>> $ <36> <$>")):
         assert evaluate(w, ["r_dollar"]) == evaluate(Text(w.symbols), ["r_dollar"])
         assert bwt_sentinel(w).output.display() == shown
         assert bwt_sentinel(w).output.symbols == bwt_sentinel(Text(w.symbols)).output.symbols

@@ -331,13 +331,20 @@ def test_file_the_writer_cannot_produce_exits_2(data, tmp_path, capsys):
         assert captured.out == "" and captured.err.startswith("revsense: ")
 
 
-def test_measure_value_error_exits_2(tmp_path, capsys):
-    path = tmp_path / "sentinel.tok"
-    path.write_text("#alphabet $ a\n$ a a $\n")
-    assert run_cli("measure", "--input", str(path), "--measures", "r_dollar") == 2
+def test_measure_value_error_exits_2(capsys):
+    assert run_cli("measure", "--family", "w_sigma", "--param", "3", "--measures", "z") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "revsense: input already contains the sentinel symbol\n"
+    assert captured.err == "revsense: w_sigma parameter sigma must be even, got 3\n"
+
+
+def test_measure_answers_on_a_symbol_named_dollar(tmp_path, capsys):
+    # the sentinel of w$ takes a name that no symbol shows; the values are
+    # those of the same symbols without names
+    path = tmp_path / "dollar.tok"
+    path.write_text("#alphabet $ a\n$ a $ a a\n")
+    assert run_cli("measure", "--input", str(path), "--measures", "r,r_dollar,r_b") == 0
+    assert capsys.readouterr().out == "r=2\nr_dollar=4\nr_b=2\n"
 
 
 @pytest.mark.parametrize("command", [

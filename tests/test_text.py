@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -16,6 +17,7 @@ from oracles import (
     occurrences,
     omega_compare,
     rle,
+    suffix_minimum_starts,
 )
 
 texts = st.lists(st.integers(0, 4), min_size=0, max_size=60).map(lambda s: Text(tuple(s)))
@@ -143,9 +145,16 @@ def test_lyndon_starts_matches_oracle():
             s = tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 80)))
         cases.append(s)
     for s in cases:
-        assert lyndon_starts(Text(s)) == brute_lyndon_starts(s), s
+        assert lyndon_starts(Text(s)) == brute_lyndon_starts(s) == suffix_minimum_starts(s), s
     with pytest.raises(ValueError):
         lyndon_starts(T(""))
+
+
+def test_brute_lyndon_factorizations_agree():
+    # the definition against the suffix minima, on every text over 3 symbols of length <= 8
+    for n in range(9):
+        for s in itertools.product(range(3), repeat=n):
+            assert brute_lyndon_starts(s) == suffix_minimum_starts(s), s
 
 
 def test_lyndon_starts_memory_is_linear():
@@ -200,6 +209,13 @@ def test_text_validation():
 @pytest.mark.parametrize("names", [None, {}])
 def test_symbols_that_do_not_compare_with_0_are_refused(symbols, names):
     # every refusal of a text is a ValueError, this one raised at construction
+    with pytest.raises(ValueError, match="^symbols must be integers$"):
+        Text(symbols, names)
+
+
+@pytest.mark.parametrize("symbols, names", [((1.5, 1), None), ((1, 2.0), {})])
+def test_non_integer_symbols_are_refused_at_construction(symbols, names):
+    # they compare with 0, so only the alphabet, read when the text is built, refuses them
     with pytest.raises(ValueError, match="^symbols must be integers$"):
         Text(symbols, names)
 

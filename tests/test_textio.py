@@ -18,9 +18,10 @@ def test_ascii_round_trip():
     assert to_ascii(w) == "baabaaba"
 
 
-def test_ascii_rejects_sentinel():
-    with pytest.raises(SerializationError):
-        from_ascii("ab$ab")
+def test_ascii_round_trips_dollar():
+    w = from_ascii("ab$ab\n")
+    assert to_ascii(w) == "ab$ab"
+    assert load(dump(w, "ascii")).symbols == w.symbols
 
 
 def test_ascii_rejects_multichar_names():
@@ -83,6 +84,19 @@ def test_tokens_reject_lines_after_the_body(data):
 def test_load_autodetect():
     assert load("#alphabet a b\nb a b\n") == Text((1, 0, 1))
     assert load("aba\n") == Text.from_str("aba")
+
+
+@pytest.mark.parametrize("data", ["#alphabetx", "#alphabet_", "#alphabeta#alphabet"])
+def test_ascii_that_starts_with_the_header_word_round_trips(data):
+    # only "#alphabet" followed by whitespace or the end is a tokens header
+    w = Text.from_str(data)
+    assert load(dump(w, "ascii")).symbols == w.symbols
+
+
+def test_ascii_refuses_the_text_that_reads_back_as_a_header():
+    with pytest.raises(SerializationError, match="tokens header"):
+        to_ascii(Text.from_str("#alphabet"))
+    assert load("#alphabet\n") == Text(())
 
 
 def test_dump_formats():
