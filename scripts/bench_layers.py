@@ -10,6 +10,8 @@ symbols.  Per case it records the best of --repeat wall times, in
 seconds, of:
 
     suffix_context   build_suffix_context(w)
+    sa_context       build_suffix_context(w, {"sa"}), the context r_dollar
+                     alone reads: no inverse and no LCP lift
     rotation_order   cyclic_rotation_order(w), the order r reads
     lyndon_order     cyclic_rotation_order(w, lyndon_starts(w)), the order
                      of the Lyndon factors' rotations that r_b reads
@@ -27,8 +29,10 @@ seconds, of:
     delta            substring_complexity(w, ctx)
     r_dollar         bwt_sentinel(w, ctx)
 
-the values z, z_no, z_e, v, e, r_dollar, r and r_b, and context_mb, the
-MB that one built context holds (tracemalloc, w's dense ranks already
+the values z, z_no, z_e, v, e, r_dollar, r and r_b; z_settles_z_no,
+whether no copy phrase of z's parse overlaps its source, so that a report
+reads z_no off that parse and builds no link pass; and context_mb, the MB
+that one built context holds (tracemalloc, w's dense ranks already
 derived).  Its sorts block counts the doubling kernel's sorts (calls of
 suffixes._dense_ranks) in one suffix_context, rotation_order and
 lyndon_order call.
@@ -152,6 +156,7 @@ def measure(w, repeat):
     seconds, counts = {}, {}
     starts = lyndon_starts(w)
     layers = {"suffix_context": lambda: build_suffix_context(w),
+              "sa_context": lambda: build_suffix_context(w, frozenset({"sa"})),
               "rotation_order": lambda: cyclic_rotation_order(w),
               "lyndon_order": lambda: cyclic_rotation_order(w, starts)}
     sorts = {name: _sorts(fn) for name, fn in layers.items()}
@@ -163,7 +168,7 @@ def measure(w, repeat):
     counts["r_b"] = t.run_count
     seconds["link_pass"], links = _best(repeat, lambda: lz._SuffixMatcher(ctx))
     seconds["z"], p = _best(repeat, lambda: lz.lz_parse(w, ctx))
-    counts["z"] = len(p)
+    counts["z"], settles = len(p), lz._no_copy_overlaps(p)
     seconds["z_given_links"], _ = _best(repeat, lambda: lz.lz_parse(w, links))
     seconds["z_no"], p = _best(repeat, lambda: lz.lz_no_overlap(w, links))
     counts["z_no"] = len(p)
@@ -176,7 +181,7 @@ def measure(w, repeat):
     seconds["r_dollar"], t = _best(repeat, lambda: bwt_sentinel(w, ctx))
     counts["r_dollar"] = t.run_count
     return {"n": len(w), "counts": counts, "seconds": seconds, "sorts": sorts,
-            "context_mb": _context_mb(w)}
+            "z_settles_z_no": settles, "context_mb": _context_mb(w)}
 
 
 def measure_zend(w, repeat):

@@ -27,41 +27,47 @@ from .families import (
     transform_predictions,
 )
 from .lexparse import lex_parse
-from .lz import (DEFAULT_NODE_BUDGET, Parsing, _SuffixMatcher, lz_end_greedy, lz_end_optimal,
-                 lz_no_overlap, lz_parse)
+from .lz import (DEFAULT_NODE_BUDGET, Parsing, _no_copy_overlaps, _SuffixMatcher, lz_end_greedy,
+                 lz_end_optimal, lz_no_overlap, lz_parse)
 from .measures import right_extension_count, substring_complexity
-from .suffixes import SuffixContext, build_suffix_context
+from .suffixes import PARTS, SuffixContext, build_suffix_context
 from .text import Text, reverse
 
 
 class _MeasureRunner:
-    """Evaluates the given measures on one text, sharing the suffix context;
-    r_dollar reads its rotation order of w$ off it too, so it sorts nothing.
-    z_e also reads `rev_ctx`, the reversal's `ctx`; a report hands both to
-    the reversal.
+    """Evaluates the given measures on one text, sharing the suffix context
+    with the arrays they read (`READS`); r_dollar reads its rotation order
+    of w$ off it too.  z_e also reads `rev_ctx`, the reversal's `ctx`, with
+    the same arrays; a report hands both to the reversal.
 
-    z, z_e, z_no and z_end read `lz_ctx`: the LZ link pass over `ctx`
-    (`lz._SuffixMatcher`) when z_no, which reads it at every rank, is among
-    the measures, so it dies with the runner; else `ctx`, and then they mark
-    earlier ranks and no link pass is built."""
+    z, z_e and z_end read `lz_ctx`: the LZ link pass over `ctx`
+    (`lz._SuffixMatcher`) when z_no is among the measures with z_e or z_end;
+    else `ctx`, and then they mark earlier ranks.  z_no is z where no copy
+    phrase of z's parse overlaps its source, else walks the link pass."""
 
     def __init__(self, w: Text, measures: Iterable[str],
                  node_budget: int = DEFAULT_NODE_BUDGET):
         self.w = w
         self.node_budget = node_budget
-        self.links = "z_no" in measures
+        measures = set(measures)
+        self.parts = frozenset().union(*(READS[m] for m in measures))
+        self.links_first = "z_no" in measures and not measures.isdisjoint(("z_e", "z_end"))
 
     @functools.cached_property
     def ctx(self) -> SuffixContext:
-        return build_suffix_context(self.w)
+        return build_suffix_context(self.w, self.parts)
 
     @functools.cached_property
     def rev_ctx(self) -> SuffixContext:
-        return build_suffix_context(reverse(self.w))
+        return build_suffix_context(reverse(self.w), self.parts)
+
+    @functools.cached_property
+    def links(self) -> _SuffixMatcher:
+        return _SuffixMatcher(self.ctx)
 
     @functools.cached_property
     def lz_ctx(self) -> SuffixContext | _SuffixMatcher:
-        return _SuffixMatcher(self.ctx) if self.links else self.ctx
+        return self.links if self.links_first else self.ctx
 
     # z and z_e keep their parses, which z_end's search starts from
     @functools.cached_property
@@ -100,7 +106,13 @@ MEASURES: dict[str, Callable[[_MeasureRunner], tuple[object, bool]]] = {
     "z": lambda t: (len(t.lz), True),
     "z_e": lambda t: (len(t.lz_end), True),
     "z_end": _z_end,
-    "z_no": lambda t: (len(lz_no_overlap(t.w, t.lz_ctx)), True),
+    "z_no": lambda t: (len(t.lz if _no_copy_overlaps(t.lz) else lz_no_overlap(t.w, t.links)), True),
+}
+# measure id -> the context arrays it reads (z_e: of rev_ctx, only sa and isa)
+READS: dict[str, frozenset[str]] = {
+    "delta": frozenset({"lcp"}), "e": frozenset({"sa", "lcp"}), "r": frozenset(),
+    "r_b": frozenset(), "r_dollar": frozenset({"sa"}),
+    **dict.fromkeys(("v", "z", "z_e", "z_end", "z_no"), PARTS),
 }
 MEASURE_IDS = tuple(MEASURES)
 

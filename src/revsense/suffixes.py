@@ -16,7 +16,8 @@ on n symbols agree forever (Fine and Wilf).  No caller bounds the reads.
 The LCP array is read off the same kernel's rounds, as Manber & Myers
 (SIAM J. Comput. 1993) do: each round's ids tell which 2^j-symbol
 prefixes are equal, so a binary lift over them gives every adjacent LCP
-at once, with no walk over the text.  Ranks are int32, so a text holds
+at once, with no walk over the text; a context built without `lcp`
+keeps no round's ids and runs no lift.  Ranks are int32, so a text holds
 fewer than 2^31 symbols.  Both orders start from the text's cached
 `Text.dense_ranks`; `cyclic_rotation_order` returns the int64 order,
 while a SuffixContext keeps int32 arrays as `array('i')`, which numpy
@@ -39,24 +40,28 @@ import numpy as np
 from .text import Text
 
 
+PARTS = frozenset({"sa", "isa", "lcp"})
+
+
 @dataclass(frozen=True)
 class SuffixContext:
     """Suffix array, inverse suffix array and LCP array of one text, the
-    suffix sort's int32 data as `array('i')`: 12 bytes per symbol.  Two
-    contexts are equal iff their arrays are; like them, none is hashable.
+    suffix sort's int32 data as `array('i')`: 12 bytes per symbol, or None
+    where a build left `isa` or `lcp` out.  Two contexts are equal iff their
+    arrays are; like them, none is hashable.
 
     Invariants: isa[sa[i]] == i; lcp[0] == 0; lcp[i] is the length
     of the longest common prefix of the suffixes starting at sa[i-1]
     and sa[i].
 
-    Memory: the build keeps one int32 id array per doubling round until
-    the LCP is read, O(n log L) words for the longest LCP L; only the
+    Memory: a build with `lcp` keeps one int32 id array per doubling round
+    until the LCP is read, O(n log L) words for the longest LCP L; only the
     keys of more than 31 bits that go into a sort are int64.
     """
 
     sa: array
-    isa: array
-    lcp: array
+    isa: array | None
+    lcp: array | None
 
     def __len__(self) -> int:
         return len(self.sa)
@@ -135,10 +140,10 @@ def _doubling_rounds(rank: np.ndarray, succ: np.ndarray | None) -> Iterator[np.n
     yield order
 
 
-def _suffix_sort(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix array and LCP array; a shorter suffix precedes a longer one
-    it prefixes.  This is the rotation order of w$, `$` being a unique
-    smallest symbol, so it orders the cycle of w$ and drops the `$`.
+def _suffix_sort(ranks: np.ndarray, with_lcp: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Suffix array and, if `with_lcp`, LCP array; a shorter suffix precedes
+    a longer one it prefixes.  This is the rotation order of w$, `$` being a
+    unique smallest symbol, so it orders the cycle of w$ and drops the `$`.
 
     The LCP comes from the rounds' ids (Manber & Myers): the final round
     makes every 2^J-symbol read distinct, so each adjacent pair has LCP
@@ -150,6 +155,10 @@ def _suffix_sort(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(ranks)
     # the cycle w$: `$` is rank 0 at position n, which wraps to 0
     cycle = np.append(ranks + 1, np.int32(0))
+    if not with_lcp:
+        for order in _doubling_rounds(cycle, None):
+            pass
+        return order[1:].astype(np.int32), None
     levels = list(_doubling_rounds(cycle, None))
     sa = levels.pop()[1:].astype(np.int32)
     a, b = sa[:-1].astype(np.int64), sa[1:].astype(np.int64)
@@ -163,11 +172,13 @@ def _suffix_sort(ranks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sa, lcp
 
 
-def build_suffix_context(w: Text) -> SuffixContext:
+def build_suffix_context(w: Text, parts: frozenset[str] = PARTS) -> SuffixContext:
+    """w's suffix context with `sa`, the sort's output, and the arrays of `parts`."""
     if len(w) == 0:
         raise ValueError("suffix structures require a non-empty text")
-    sa, lcp = _suffix_sort(w.dense_ranks)
-    return SuffixContext(*(array("i", x.tobytes()) for x in (sa, _inverse(sa), lcp)))
+    sa, lcp = _suffix_sort(w.dense_ranks, "lcp" in parts)
+    isa = _inverse(sa) if "isa" in parts else None
+    return SuffixContext(*(None if x is None else array("i", x.tobytes()) for x in (sa, isa, lcp)))
 
 
 def context_for(w: Text, ctx: SuffixContext | None) -> SuffixContext:

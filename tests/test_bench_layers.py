@@ -19,21 +19,28 @@ def test_tiny_ladder_writes_every_key(tmp_path):
                                  "ab_500", "F_14", "T_p_4", "thue_morse_512"}
     for row in out["cases"].values():
         assert 0 < row["n"] <= 10**3
-        assert set(row["seconds"]) == {"suffix_context", "rotation_order", "lyndon_order", "r",
-                                       "r_b", "link_pass", "z", "z_given_links", "z_no", "z_e",
-                                       "v", "e", "delta", "r_dollar"}
+        assert set(row["seconds"]) == {"suffix_context", "sa_context", "rotation_order",
+                                       "lyndon_order", "r", "r_b", "link_pass", "z",
+                                       "z_given_links", "z_no", "z_e", "v", "e", "delta",
+                                       "r_dollar"}
         assert all(s >= 0 for s in row["seconds"].values())
         # every doubling run ends on a sort
-        assert set(row["sorts"]) == {"suffix_context", "rotation_order", "lyndon_order"}
+        assert set(row["sorts"]) == {"suffix_context", "sa_context", "rotation_order",
+                                     "lyndon_order"}
         assert all(s >= 1 for s in row["sorts"].values())
         counts = row["counts"]
         assert set(counts) == {"z", "z_no", "z_e", "v", "e", "r_dollar", "r", "r_b"}
         assert 1 <= counts["z"] <= min(counts["z_no"], counts["z_e"])
+        # a parse that settles z_no has z_no = z
+        assert row["z_settles_z_no"] in (True, False)
+        assert counts["z_no"] == counts["z"] or not row["z_settles_z_no"]
         assert 1 <= counts["v"] and row["n"] <= counts["e"]
         assert all(counts[m] >= 1 for m in ("r_dollar", "r", "r_b"))
         # three int32 arrays of n entries, with their 1/16 over-allocation and headers
         assert 12 * row["n"] <= row["context_mb"] * 2**20 <= 13 * row["n"] + 2**12
     # the gadget 1001011010111 has z < z_e, so z_end's search runs one node deep per fresh symbol
+    # z's parse settles z_no on the Fibonacci word, and not on unary text (z = 2 < z_no)
+    assert out["cases"]["F_14"]["z_settles_z_no"] and not out["cases"]["unary_1000"]["z_settles_z_no"]
     assert set(out["zend"]) == {"gadget_1000"}
     row = dict(out["zend"]["gadget_1000"])
     assert row.pop("seconds") >= 0

@@ -10,12 +10,16 @@ from revsense.families import FamilySpec, generate
 from revsense.harness import (
     MEASURE_IDS,
     MEASURES,
+    READS,
+    _MeasureRunner,
     evaluate,
     rows_to_csv,
     sensitivity_report,
     sweep,
     verify,
 )
+from revsense.lz import lz_no_overlap
+from revsense.suffixes import PARTS, build_suffix_context
 from revsense.text import Text, reverse
 
 from oracles import random_symbols, rows_from_csv
@@ -106,6 +110,70 @@ def test_report_without_lz_builds_no_matcher(monkeypatch):
         for ids in (["z"], ["z_e"], ["z", "z_e"], ["z_end"], ["z", "z_e", "z_end"]):
             sensitivity_report(w, ids)
     assert builds == []
+
+
+def test_z_no_is_the_non_overlapping_parse_size_on_every_path():
+    """z_no returns z when no copy phrase of z's parse overlaps its source,
+    else it walks the link pass, built up front with z_e or z_end and on
+    demand without.  Each id set's runner is given w's context, so only its
+    LZ decisions run per text."""
+    rng = random.Random(35)
+    settled = 0
+    for i in range(20000):
+        sigma = (1, 2, 3, 4, 8)[i % 5]
+        w = Text(tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 40))))
+        ctx = build_suffix_context(w)
+        expected = (len(lz_no_overlap(w, ctx)), True)
+        for ids in (["z", "z_no"], ["z_no"], ["z", "z_no", "z_e"], ["z_no", "z_end"]):
+            runner = _MeasureRunner(w, ids, node_budget=1)   # z_end's search is not read
+            runner.ctx = ctx
+            assert MEASURES["z_no"](runner) == expected, (w, ids)
+            if ids == ["z_no"]:
+                settled += "links" not in vars(runner)
+    assert 5000 < settled < 15000, settled      # both paths run often
+
+
+def test_a_context_holds_the_arrays_its_measures_read():
+    w = generate(FamilySpec("fib_plus", 12))
+    runner = _MeasureRunner(w, ["r_dollar"])
+    assert MEASURES["r_dollar"](runner) == (bwt_sentinel(w).run_count, True)
+    assert (runner.ctx.isa, runner.ctx.lcp) == (None, None)
+    assert runner.ctx.sa == build_suffix_context(w).sa
+    runner = _MeasureRunner(w, ["r", "r_dollar", "delta"])
+    assert runner.parts == {"sa", "lcp"}
+    assert set(READS) == set(MEASURES)
+
+
+def test_each_measure_reads_only_its_declared_arrays():
+    """Run alone, a measure's context holds only the arrays READS names
+    (and sa); its value equals the one read off full contexts."""
+    rng = random.Random(36)
+    texts = [generate(FamilySpec(f, p)) for f, p in (("t55", None), ("T_p_rev", 3), ("fib", 10),
+                                                     ("u_k", 4), ("w_sigma", 8), ("c_fib_rev", 9))]
+    texts += [Text(random_symbols(rng, 60)) for _ in range(40)]
+    for w in texts:
+        for m in MEASURE_IDS:
+            lean = _MeasureRunner(w, [m])
+            full = _MeasureRunner(w, [m])
+            full.ctx, full.rev_ctx = build_suffix_context(w), build_suffix_context(reverse(w))
+            assert MEASURES[m](lean) == MEASURES[m](full), (m, w)
+            if "ctx" in vars(lean):
+                kept = {p for p in PARTS if getattr(lean.ctx, p) is not None}
+                assert kept == READS[m] | {"sa"}, m
+
+
+def test_r_dollar_alone_keeps_no_lcp_lift():
+    """r_dollar reads only sa, so its context keeps no doubling rounds and
+    no isa or lcp: on F_26 the peak is about 6.1 MB, and 12.6 MB with all
+    three arrays."""
+    w = generate(FamilySpec("fib", 26))
+    tracemalloc.start()
+    try:
+        evaluate(w, ["r_dollar"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("big", [2**63, 2**64 + 5, 10**30])

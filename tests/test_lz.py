@@ -217,6 +217,23 @@ def test_one_matcher_per_text(matcher_builds):
         hash(ctx)
 
 
+def test_z_no_builds_a_link_pass_only_when_z_s_parse_overlaps(matcher_builds):
+    from revsense.harness import sensitivity_report
+    # no copy phrase of T_p_rev 6 overlaps its source, either way round
+    w = generate(FamilySpec("T_p_rev", 6))
+    reports = sensitivity_report(w, ["z", "z_no"])
+    assert [(r.value_fwd, r.value_rev) for r in reports] == [(43, 63), (43, 63)]
+    assert matcher_builds == []
+    # beside z_e, which reads it too, the link pass is built up front
+    sensitivity_report(w, ["z", "z_no", "z_e"])
+    assert len(matcher_builds) == 2
+    matcher_builds.clear()
+    # a^8 is a, then a^7 copied from 0 over itself: z = 2, z_no = 4
+    reports = sensitivity_report(Text.from_str("aaaaaaaa"), ["z", "z_no"])
+    assert [(r.value_fwd, r.value_rev) for r in reports] == [(2, 2), (4, 4)]
+    assert len(matcher_builds) == 2                      # one per orientation
+
+
 def test_end_greedy_refuses_a_reverse_context_of_another_length():
     w = Text.from_str("abracadabra")
     assert lz_end_greedy(w, rev_ctx=build_suffix_context(reverse(w))) == lz_end_greedy(w)
@@ -450,6 +467,52 @@ def test_parses_equal_with_and_without_links(matcher_builds):
         linked = lz_parse(w, links), lz_end_greedy(w, links, rev_ctx)
         for p, q in zip(marked, linked):
             assert p.bounds == q.bounds and p.sources == q.sources, (len(w), p.variant)
+
+
+def _far_marks(ctx, parsing):
+    """Phrase starts of `parsing` whose nearest earlier-marked rank on some
+    side lies more than 128 ranks away, where the marks lookup reads block
+    minima."""
+    marked, far = bytearray(len(ctx)), 0
+    starts = parsing.bounds[:-1]
+    for done, i0 in zip((0,) + starts, starts):
+        for p in range(done, i0):
+            marked[ctx.isa[p]] = 1
+        r = ctx.isa[i0]
+        a, b = marked.rfind(1, 0, r), marked.find(1, r)
+        far += (a >= 0 and r - a > 128) or (b >= 0 and b - r > 128)
+    return far
+
+
+def test_marks_lookup_over_long_rank_gaps(matcher_builds):
+    # the marks lookup marks a long phrase's positions by one numpy store and
+    # takes the lcp over a long rank gap through 64-rank block minima; it
+    # gives the link pass's bounds and sources
+    rng = random.Random(37)
+    block = [rng.randrange(4) for _ in range(1000)] * 30
+    for i in rng.sample(range(len(block)), 30):
+        block[i] = (block[i] + 1) % 4
+    texts = {"random1000": Text(tuple(rng.randrange(1000) for _ in range(3 * 10**4))),
+             "F_20": generate(FamilySpec("fib", 20)), "mutated": Text(tuple(block)),
+             "unary": Text((0,) * 5000)}
+    far = {}
+    for name, w in texts.items():
+        ctx = build_suffix_context(w)
+        marked = lz_parse(w, ctx)
+        assert matcher_builds == []
+        linked = lz_parse(w, _SuffixMatcher(ctx))
+        matcher_builds.clear()
+        assert (marked.bounds, marked.sources) == (linked.bounds, linked.sources), name
+        far[name] = _far_marks(ctx, marked)
+        # asked every 1, 49 or 200 positions, as z_end's bound and long phrases ask
+        links = _SuffixMatcher(ctx)
+        for step in (1, 49, 200):
+            ask = _earlier_matches(w, ctx)
+            for i0 in range(0, len(w), step):
+                assert ask(i0) == links.longest_earlier_match(i0), (name, step, i0)
+        matcher_builds.clear()
+    # 341, 8 and 108 phrases read block minima; unary's nearest mark is adjacent
+    assert far["random1000"] > 100 and far["F_20"] > 0 and far["mutated"] > 50, far
 
 
 def test_lz_parse_scales_without_links(matcher_builds):
