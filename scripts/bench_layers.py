@@ -25,13 +25,19 @@ seconds, of:
     z_e              lz_end_greedy(w, ctx, rev_ctx) on the plain context,
                      reverse(w)'s context given
     v                lex_parse(w, ctx)
+    v_without_lcp    lex_parse(w, sa_isa), on a context of sa and isa only,
+                     as a v-only report builds it: each phrase's LCP is
+                     measured on the text
     e                right_extension_count(w, ctx)
     delta            substring_complexity(w, ctx)
     r_dollar         bwt_sentinel(w, ctx)
 
 the values z, z_no, z_e, v, e, r_dollar, r and r_b; z_settles_z_no,
 whether no copy phrase of z's parse overlaps its source, so that a report
-reads z_no off that parse and builds no link pass; and context_mb, the MB
+reads z_no off that parse and builds no link pass; z_settles_z_e, whether
+every copy phrase's source ends at an earlier bound of z's parse, so that
+a report that parses z reads z_e and z_end off it and sorts no reversal
+for them; and context_mb, the MB
 that one built context holds (tracemalloc, w's dense ranks already
 derived).  Its sorts block counts the doubling kernel's sorts (calls of
 suffixes._dense_ranks) in one suffix_context, rotation_order and
@@ -168,7 +174,7 @@ def measure(w, repeat):
     counts["r_b"] = t.run_count
     seconds["link_pass"], links = _best(repeat, lambda: lz._SuffixMatcher(ctx))
     seconds["z"], p = _best(repeat, lambda: lz.lz_parse(w, ctx))
-    counts["z"], settles = len(p), lz._no_copy_overlaps(p)
+    counts["z"], settles, settles_end = len(p), lz._no_copy_overlaps(p), lz._sources_end_at_bounds(p)
     seconds["z_given_links"], _ = _best(repeat, lambda: lz.lz_parse(w, links))
     seconds["z_no"], p = _best(repeat, lambda: lz.lz_no_overlap(w, links))
     counts["z_no"] = len(p)
@@ -176,12 +182,14 @@ def measure(w, repeat):
     counts["z_e"] = len(p)
     seconds["v"], p = _best(repeat, lambda: lex_parse(w, ctx))
     counts["v"] = len(p)
+    sa_isa = build_suffix_context(w, frozenset({"sa", "isa"}))
+    seconds["v_without_lcp"], _ = _best(repeat, lambda: lex_parse(w, sa_isa))
     seconds["e"], counts["e"] = _best(repeat, lambda: right_extension_count(w, ctx))
     seconds["delta"], _ = _best(repeat, lambda: substring_complexity(w, ctx))
     seconds["r_dollar"], t = _best(repeat, lambda: bwt_sentinel(w, ctx))
     counts["r_dollar"] = t.run_count
     return {"n": len(w), "counts": counts, "seconds": seconds, "sorts": sorts,
-            "z_settles_z_no": settles, "context_mb": _context_mb(w)}
+            "z_settles_z_no": settles, "z_settles_z_e": settles_end, "context_mb": _context_mb(w)}
 
 
 def measure_zend(w, repeat):

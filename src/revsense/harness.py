@@ -27,8 +27,8 @@ from .families import (
     transform_predictions,
 )
 from .lexparse import lex_parse
-from .lz import (DEFAULT_NODE_BUDGET, Parsing, _no_copy_overlaps, _SuffixMatcher, lz_end_greedy,
-                 lz_end_optimal, lz_no_overlap, lz_parse)
+from .lz import (DEFAULT_NODE_BUDGET, Parsing, _no_copy_overlaps, _sources_end_at_bounds, _SuffixMatcher,
+                 lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse)
 from .measures import right_extension_count, substring_complexity
 from .suffixes import PARTS, SuffixContext, build_suffix_context
 from .text import Text, reverse
@@ -37,13 +37,19 @@ from .text import Text, reverse
 class _MeasureRunner:
     """Evaluates the given measures on one text, sharing the suffix context
     with the arrays they read (`READS`); r_dollar reads its rotation order
-    of w$ off it too.  z_e also reads `rev_ctx`, the reversal's `ctx`, with
-    the same arrays; a report hands both to the reversal.
+    of w$ off it too.  z_e's greedy parse also reads `rev_ctx`, the suffix
+    order of the reversal, built with the arrays of `rev_parts`: sa and isa,
+    or a report's parts when it hands `rev_ctx` to the reversal as its `ctx`.
 
     z, z_e and z_end read `lz_ctx`: the LZ link pass over `ctx`
     (`lz._SuffixMatcher`) when z_no is among the measures with z_e or z_end;
     else `ctx`, and then they mark earlier ranks.  z_no is z where no copy
-    phrase of z's parse overlaps its source, else walks the link pass."""
+    phrase of z's parse overlaps its source, else walks the link pass.
+    z_end is z, and so is z_e when z's parse is read anyway, where every
+    copy phrase's source ends at an earlier bound of that parse; else they
+    run the greedy end-aligned parse and, for z_end, the search."""
+
+    rev_parts = frozenset({"sa", "isa"})
 
     def __init__(self, w: Text, measures: Iterable[str],
                  node_budget: int = DEFAULT_NODE_BUDGET):
@@ -52,6 +58,7 @@ class _MeasureRunner:
         measures = set(measures)
         self.parts = frozenset().union(*(READS[m] for m in measures))
         self.links_first = "z_no" in measures and not measures.isdisjoint(("z_e", "z_end"))
+        self.parses_z = not measures.isdisjoint(("z", "z_no", "z_end"))
 
     @functools.cached_property
     def ctx(self) -> SuffixContext:
@@ -59,7 +66,7 @@ class _MeasureRunner:
 
     @functools.cached_property
     def rev_ctx(self) -> SuffixContext:
-        return build_suffix_context(reverse(self.w), self.parts)
+        return build_suffix_context(reverse(self.w), self.rev_parts)
 
     @functools.cached_property
     def links(self) -> _SuffixMatcher:
@@ -78,6 +85,10 @@ class _MeasureRunner:
     def lz_end(self) -> Parsing:
         return lz_end_greedy(self.w, self.lz_ctx, self.rev_ctx)
 
+    @functools.cached_property
+    def z_settles_end(self) -> bool:
+        return _sources_end_at_bounds(self.lz)
+
     # r and r_b keep their transforms, which verify checks against the closed
     # forms; named by transform_predictions' variants, looked up at call time
     @functools.cached_property
@@ -89,7 +100,13 @@ class _MeasureRunner:
         return bbwt(self.w)
 
 
+def _z_e(t: _MeasureRunner) -> tuple[int, bool]:
+    return len(t.lz if t.parses_z and t.z_settles_end else t.lz_end), True
+
+
 def _z_end(t: _MeasureRunner) -> tuple[int, bool]:
+    if t.z_settles_end:
+        return len(t.lz), True
     parsing, exact = lz_end_optimal(t.w, t.node_budget, t.lz_ctx, t.lz_end, t.lz)
     return len(parsing), exact
 
@@ -104,15 +121,15 @@ MEASURES: dict[str, Callable[[_MeasureRunner], tuple[object, bool]]] = {
     "r_dollar": lambda t: (bwt_sentinel(t.w, t.ctx).run_count, True),
     "v": lambda t: (len(lex_parse(t.w, t.ctx)), True),
     "z": lambda t: (len(t.lz), True),
-    "z_e": lambda t: (len(t.lz_end), True),
+    "z_e": _z_e,
     "z_end": _z_end,
     "z_no": lambda t: (len(t.lz if _no_copy_overlaps(t.lz) else lz_no_overlap(t.w, t.links)), True),
 }
 # measure id -> the context arrays it reads (z_e: of rev_ctx, only sa and isa)
 READS: dict[str, frozenset[str]] = {
     "delta": frozenset({"lcp"}), "e": frozenset({"sa", "lcp"}), "r": frozenset(),
-    "r_b": frozenset(), "r_dollar": frozenset({"sa"}),
-    **dict.fromkeys(("v", "z", "z_e", "z_end", "z_no"), PARTS),
+    "r_b": frozenset(), "r_dollar": frozenset({"sa"}), "v": frozenset({"sa", "isa"}),
+    **dict.fromkeys(("z", "z_e", "z_end", "z_no"), PARTS),
 }
 MEASURE_IDS = tuple(MEASURES)
 
@@ -161,11 +178,15 @@ def sensitivity_report(
     """One report per measure id, ordered by measure id."""
     wanted = sorted(set(measures))
     runner = _runner(w, wanted, node_budget)
+    # a rev_ctx that z_e sorts is handed over as the reversal's ctx, so it has its arrays
+    runner.rev_parts = runner.parts
     fwd = [MEASURES[m](runner) for m in wanted]
     rev_runner = _MeasureRunner(reverse(w), wanted, node_budget)
     if "rev_ctx" in vars(runner):
-        # z_e sorted reverse(w): hand that over, and w's as the reversal's rev_ctx
-        rev_runner.ctx, rev_runner.rev_ctx = runner.rev_ctx, runner.ctx
+        rev_runner.ctx = runner.rev_ctx
+    if not {"z_e", "z_end"}.isdisjoint(wanted):
+        # w's context is the reversal's rev_ctx, whether or not z's parse settled z_e on w
+        rev_runner.rev_ctx = runner.ctx
     del runner
     rev = [MEASURES[m](rev_runner) for m in wanted]
     return [_report(m, vf, vr, ef and er) for m, (vf, ef), (vr, er) in zip(wanted, fwd, rev)]

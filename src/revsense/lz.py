@@ -279,6 +279,19 @@ def _no_copy_overlaps(parsing: Parsing) -> bool:
                for start, end, src in zip(b, b[1:], parsing.sources))
 
 
+def _sources_end_at_bounds(parsing: Parsing) -> bool:
+    """Whether every copy phrase's source ends by its start, at one of the
+    parse's bounds.  Then, for a z parse, the greedy end-aligned parse has
+    the same phrases, so z = z_end = z_e: by induction on the phrases, at a
+    start i0 that both parses share, lz_end_greedy tries lengths from
+    min(LPF(i0), i0), which is z's phrase length, and z's own source ends
+    at a bound <= i0, an end that it has produced, so that length passes."""
+    b = parsing.bounds
+    ends = set(b)
+    return all(src is None or (src + end - start <= start and src + end - start in ends)
+               for start, end, src in zip(b, b[1:], parsing.sources))
+
+
 def lz_end_greedy(w: Text, ctx: SuffixContext | None = None,
                   rev_ctx: SuffixContext | None = None) -> Parsing:
     """Greedy end-aligned LZ; phrase count = z_e(w).

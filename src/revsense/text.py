@@ -31,14 +31,16 @@ class Text:
 
     def __post_init__(self) -> None:
         # every symbol is checked here, through the alphabet; a name table is
-        # checked against every rank it may show: the present ranks, whose
-        # default names it must not repeat, and its keys
+        # checked against every rank it may show: its names must differ, and
+        # none may be the default name of a present rank it leaves unnamed
+        # (distinct ranks have distinct default names)
         ranks = self.alphabet
         if ranks and ranks[0] < 0:
             raise ValueError("symbol ranks must be non-negative")
         if self.names is not None:
-            shown = set(ranks).union(self.names)
-            if len({self.name_of(r) for r in shown}) != len(shown):
+            names = set(self.names.values())
+            if len(names) != len(self.names) or not names.isdisjoint(
+                    map(_default_name, set(ranks).difference(self.names))):
                 raise ValueError("display names must be unique")
 
     # Equality and hashing ignore the name table: the same rank sequence
@@ -81,9 +83,7 @@ class Text:
     def name_of(self, rank: int) -> str:
         if self.names and rank in self.names:
             return self.names[rank]
-        if 33 <= rank < 127:
-            return chr(rank)
-        return f"<{rank}>"
+        return _default_name(rank)
 
     def display(self) -> str:
         """Human-readable form; single-character alphabets concatenate,
@@ -99,6 +99,10 @@ class Text:
     def from_str(cls, s: str) -> "Text":
         """Text whose ranks are character ordinals, named by the characters."""
         return cls(tuple(ord(c) for c in s), {ord(c): c for c in set(s)})
+
+
+def _default_name(rank: int) -> str:
+    return chr(rank) if 33 <= rank < 127 else f"<{rank}>"
 
 
 def _dense_symbol_ranks(symbols: tuple[int, ...], alphabet: tuple[int, ...]) -> np.ndarray:

@@ -70,6 +70,19 @@ def random_symbols(rng: random.Random, max_n: int, alphabets=(2, 3, 5), min_n: i
     return tuple(rng.randrange(sigma) for _ in range(n))
 
 
+def shown_names_are_unique(symbols, names) -> bool:
+    """The name-table rule by its definition: every rank a table may show,
+    a present symbol or a key, gets a different name, its table's name or
+    else its default name."""
+    def name(r):
+        if names and r in names:
+            return names[r]
+        return chr(r) if 33 <= r < 127 else f"<{r}>"
+
+    shown = set(symbols).union(names)
+    return len({name(r) for r in shown}) == len(shown)
+
+
 def brute_lz_shape(s):
     """Greedy LZ with overlap, straight from the definition."""
     n = len(s)

@@ -18,7 +18,7 @@ from revsense.harness import (
     sweep,
     verify,
 )
-from revsense.lz import lz_no_overlap
+from revsense.lz import _sources_end_at_bounds, lz_end_greedy, lz_end_optimal, lz_no_overlap, lz_parse
 from revsense.suffixes import PARTS, build_suffix_context
 from revsense.text import Text, reverse
 
@@ -133,6 +133,63 @@ def test_z_no_is_the_non_overlapping_parse_size_on_every_path():
     assert 5000 < settled < 15000, settled      # both paths run often
 
 
+def test_z_settles_z_e_and_z_end_on_every_path():
+    """z_end is z, and so is z_e when z's parse is read anyway, where every
+    copy phrase's source ends at an earlier bound of that parse; then the
+    greedy end-aligned parse takes z's phrases.  Else both run as before.
+    Each id set's runner is given the contexts of w and its reversal.  A
+    budget of 10 nodes keeps z_end's search short: where z's parse settles,
+    z = z_e, so the z == z_e shortcut of lz_end_optimal answers exactly at
+    any budget.  3,881 of the 20,000 texts settle."""
+    rng = random.Random(36)
+    settled = 0
+    for i in range(20000):
+        sigma, n = (1, 2, 3, 4, 8)[i % 5], rng.randint(1, 40)
+        if i % 3:
+            w = Text(tuple(rng.randrange(sigma) for _ in range(n)))
+        else:       # periodic
+            period = tuple(rng.randrange(sigma) for _ in range(rng.randint(1, 6)))
+            w = Text((period * n)[:n])
+        ctx, rev_ctx = build_suffix_context(w), build_suffix_context(reverse(w))
+        greedy, z = lz_end_greedy(w, ctx, rev_ctx), lz_parse(w, ctx)
+        optimal, exact = lz_end_optimal(w, 10, ctx, greedy, z)
+        if _sources_end_at_bounds(z):
+            settled += 1
+            assert greedy.bounds == z.bounds, w
+        for ids in (["z_e"], ["z", "z_e"], ["z_e", "z_end"], ["z", "z_no", "z_e", "z_end"]):
+            runner = _MeasureRunner(w, ids, node_budget=10)
+            runner.ctx, runner.rev_ctx = ctx, rev_ctx
+            assert MEASURES["z_e"](runner) == (len(greedy), True), (w, ids)
+            if "z_end" in ids:
+                assert MEASURES["z_end"](runner) == (len(optimal), exact), (w, ids)
+            # z_e alone parses no z, and a settled parse runs no greedy end-aligned one
+            assert ("lz" in vars(runner)) == (ids != ["z_e"]), ids
+            assert ("lz_end" in vars(runner)) == (ids == ["z_e"] or not runner.z_settles_end), ids
+    assert 2000 < settled < 18000, settled      # both paths run often
+
+
+def test_a_report_hands_the_reversal_w_s_context(monkeypatch):
+    """A lone runner sorts reverse(w) for z_e with sa and isa only; a
+    report sorts it with the report's arrays, as the reversal's ctx, and
+    hands w's context over as the reversal's rev_ctx even when z's parse
+    settled z_e on w and sorted no reversal there.  On aabaaa it does, and
+    on its reversal aaabaa, where z = 4 < z_e = z_end = 5, it does not."""
+    from revsense import suffixes
+    runs = []
+    rounds = suffixes._doubling_rounds
+    monkeypatch.setattr(suffixes, "_doubling_rounds",
+                        lambda rank, succ: runs.append(len(rank)) or rounds(rank, succ))
+    w = Text.from_str("aabaaa")
+    runner = _MeasureRunner(w, ["z_e"])
+    assert MEASURES["z_e"](runner) == (5, True)
+    assert runner.rev_ctx.lcp is None and runner.rev_ctx.sa == build_suffix_context(reverse(w)).sa
+    assert [_sources_end_at_bounds(lz_parse(x)) for x in (w, reverse(w))] == [True, False]
+    runs.clear()
+    reports = sensitivity_report(w, ["z", "z_e", "z_end"])
+    assert runs == [len(w) + 1] * 2, runs
+    assert [(r.value_fwd, r.value_rev) for r in reports] == [(5, 4), (5, 5), (5, 5)]
+
+
 def test_a_context_holds_the_arrays_its_measures_read():
     w = generate(FamilySpec("fib_plus", 12))
     runner = _MeasureRunner(w, ["r_dollar"])
@@ -241,7 +298,9 @@ def test_r_dollar_reads_the_shared_suffix_sort(monkeypatch):
 def test_z_e_reads_the_reversal_s_suffix_sort(monkeypatch):
     """z_e reads the suffix order of reverse(w), which a report sorts for
     the other orientation anyway: two doubling runs per report, of w$ and
-    of reverse(w)$, and two for z_e on one orientation."""
+    of reverse(w)$, and two for z_e on one orientation.  Beside z, whose
+    parse settles z_e on abracadabra but not on F_12, z_e sorts only w$
+    there."""
     from revsense import suffixes
     runs = []
     rounds = suffixes._doubling_rounds
@@ -251,7 +310,7 @@ def test_z_e_reads_the_reversal_s_suffix_sort(monkeypatch):
         return rounds(rank, succ)
 
     monkeypatch.setattr(suffixes, "_doubling_rounds", counted)
-    for w in (generate(FamilySpec("fib", 12)), Text.from_str("abracadabra")):
+    for w, beside_z in ((generate(FamilySpec("fib", 12)), 2), (Text.from_str("abracadabra"), 1)):
         runs.clear()
         (rep,) = sensitivity_report(w, ["z_e"])
         assert runs == [len(w) + 1] * 2, runs
@@ -259,6 +318,9 @@ def test_z_e_reads_the_reversal_s_suffix_sort(monkeypatch):
         assert evaluate(w, ["z_e"]) == [(rep.value_fwd, True)]
         assert runs == [len(w) + 1] * 2, runs
         assert evaluate(reverse(w), ["z_e"]) == [(rep.value_rev, True)]
+        runs.clear()
+        assert evaluate(w, ["z", "z_e"])[1] == (rep.value_fwd, True)
+        assert runs == [len(w) + 1] * beside_z, runs
 
 
 def test_report_hands_over_no_matcher():

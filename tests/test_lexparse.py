@@ -3,7 +3,7 @@ import random
 import pytest
 
 from revsense.families import FamilySpec, central_word, fibonacci_word, generate
-from revsense.lexparse import lex_parse
+from revsense.lexparse import _common_prefix, lex_parse
 from revsense.lz import lz_parse
 from revsense.suffixes import build_suffix_context
 from revsense.text import Text, reverse
@@ -60,6 +60,42 @@ def test_tiling_and_naive_context_agreement():
         q = lex_parse(w, naive_suffix_context(w))
         assert p.bounds == q.bounds
         assert p.bounds[0] == 0 and p.bounds[-1] == len(w)
+
+
+def _random_text(sigma, n, seed):
+    rng = random.Random(seed)
+    return Text(tuple(rng.randrange(sigma) for _ in range(n)))
+
+
+@pytest.mark.parametrize("w", [
+    generate(FamilySpec("fib", 20)), Text((0,) * 5000), Text((0, 1) * 2500),
+    generate(FamilySpec("c_fib_rev", 25)), _random_text(4, 3000, 1), _random_text(1000, 3000, 2),
+    Text((2**64, 3, 2**64, 2**64 + 1) * 50),
+], ids=["F_20", "unary_5000", "ab_2500", "c_fib_rev_25", "random4", "random1000", "past_int64"])
+def test_a_context_without_lcp_measures_each_phrase_s_lcp(w):
+    """Given sa and isa only, as a v-only report builds its context, each
+    phrase's LCP is measured on the text: the parse is the one read off the
+    LCP array."""
+    lean = build_suffix_context(w, frozenset({"sa", "isa"}))
+    assert lean.lcp is None
+    assert lex_parse(w, lean) == lex_parse(w, build_suffix_context(w))
+
+
+def test_measured_lcp_agrees_with_the_lcp_array():
+    """Short random and periodic texts: every chunk width of the measured
+    LCP runs, against the LCP array of the naive context."""
+    rng = random.Random(8)
+    for i in range(600):
+        n = rng.randint(1, 90)
+        if i % 2:
+            w = Text(random_symbols(rng, n, min_n=n))
+        else:
+            period = tuple(rng.randrange(3) for _ in range(rng.randint(1, 5)))
+            w = Text((period * n)[:n])
+        ctx = naive_suffix_context(w)
+        buf = w.dense_ranks.tobytes()
+        for r in range(1, len(w)):
+            assert _common_prefix(w.symbols, buf, ctx.sa[r - 1], ctx.sa[r]) == ctx.lcp[r], (w, r)
 
 
 def expected_lex_shape_w_sigma(sigma):

@@ -17,6 +17,7 @@ from oracles import (
     occurrences,
     omega_compare,
     rle,
+    shown_names_are_unique,
     suffix_minimum_starts,
 )
 
@@ -229,6 +230,27 @@ def test_non_integer_symbols_are_refused_at_construction(symbols, names):
 def test_name_table_cannot_repeat_a_shown_name(symbols, names):
     with pytest.raises(ValueError):
         Text(symbols, names)
+
+
+def test_name_table_check_agrees_with_its_definition():
+    """Seeded tables over ranks around the printable range, with names drawn
+    from table names, default names and their near misses: a text refuses
+    exactly the tables that show some name twice."""
+    rng = random.Random(9)
+    pool = ["a", "b", "$", "<200>", "<7>", "<07>", "A", "<127>", "~", "<32>", " "]
+    refused = 0
+    for _ in range(4000):
+        symbols = tuple(rng.choice((0, 7, 32, 33, 36, 65, 97, 98, 126, 127, 200))
+                        for _ in range(rng.randint(1, 6)))
+        keys = rng.sample((7, 32, 33, 36, 65, 97, 98, 126, 127, 200, 300), rng.randint(0, 4))
+        names = {k: rng.choice(pool + [chr(rng.randrange(33, 127))]) for k in keys}
+        if shown_names_are_unique(symbols, names):
+            assert Text(symbols, names).names == names
+        else:
+            refused += 1
+            with pytest.raises(ValueError, match="display names must be unique"):
+                Text(symbols, names)
+    assert 1000 < refused < 3000, refused
 
 
 def test_name_table_beside_default_names():
